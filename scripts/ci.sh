@@ -30,7 +30,11 @@
 #      participates: no time.time() under src/repro/telemetry/ (the
 #      registry and tracer run on injectable monotonic clocks), and the
 #      science layers (src/repro/hepdata/, src/repro/environment/) must
-#      not import repro.telemetry at all.
+#      not import repro.telemetry at all.  The modules whose code runs in
+#      the campaign's forked cell-pass workers (src/repro/core/cellpass.py,
+#      src/repro/core/runner.py) import none of threading, repro.telemetry
+#      or repro.service: a forked child must never touch a lock a parent
+#      thread (e.g. the service heartbeat) held at fork time.
 #   7. tier-1 — the documented fast suite (ROADMAP.md):
 #      pytest -x -q -m "not bench"
 #   8. backend parity — the determinism suite re-run with an explicit
@@ -141,7 +145,14 @@ if [ -n "${telemetry_import_violations}" ]; then
     echo "hepdata/ and environment/ must stay instrumentation-free" >&2
     exit 1
 fi
-echo "ok: telemetry runs on monotonic clocks and the science layers stay instrumentation-free"
+fork_violations=$(grep -nE "^[[:space:]]*(from|import)[[:space:]]+(threading|repro\.telemetry|repro\.service)([[:space:].]|$)" src/repro/core/cellpass.py src/repro/core/runner.py || true)
+if [ -n "${fork_violations}" ]; then
+    echo "error: a cell-pass worker module imports a lock-holding layer:" >&2
+    echo "${fork_violations}" >&2
+    echo "code run in forked pool workers must not import threading, repro.telemetry or repro.service" >&2
+    exit 1
+fi
+echo "ok: telemetry runs on monotonic clocks, the science layers stay instrumentation-free and the cell-pass workers are fork-safe"
 
 echo "== stage 7/10: tier-1 test suite =="
 python -m pytest -x -q -m "not bench"

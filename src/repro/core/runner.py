@@ -12,14 +12,31 @@ performed."  One invocation of :meth:`ValidationRunner.run` produces a
 3. the analysis chains run sequentially, each step consuming the products of
    the previous one; a failing step causes the remaining steps of that chain
    to be skipped.
+
+A run is split into three steps so that a campaign can execute the test
+phases of many cells at once while keeping every recorded byte identical:
+
+* :meth:`ValidationRunner.compile` (in the caller's process, in matrix
+  order) reserves the cell's job IDs and builds the inventory through the
+  runner's — possibly caching — builder;
+* :meth:`ValidationRunner.execute` is a pure function of its arguments: it
+  runs the compilation-job bookkeeping and the two test phases on a clock
+  that starts at 0 and returns the run plus the ``results`` documents it
+  would write, as a :class:`CellOutcome`.  It may run in a forked child;
+* :meth:`ValidationRunner.run` (in the caller's process, in matrix order)
+  commits: it rebases the outcome's times onto the shared clock, writes
+  its documents and artifacts and records the run.
+
+Called without a compiled cell or an outcome, :meth:`ValidationRunner.run`
+performs all three steps inline.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro._common import ValidationError
+from repro._common import ReproError, ValidationError
 from repro.buildsys.builder import BuildCampaign, PackageBuilder
 from repro.core.jobs import JobStatus, ValidationJob, ValidationRun
 from repro.core.testspec import (
@@ -52,6 +69,41 @@ def default_numeric_context(configuration: EnvironmentConfiguration) -> NumericC
         compiler_strictness=configuration.compiler.strictness,
         libm_generation=configuration.operating_system.abi_level,
     )
+
+
+def cell_job_count(experiment: ExperimentDefinition) -> int:
+    """Job IDs one run of *experiment* allocates: the run plus one per test.
+
+    The count is static (every package, standalone test and chain step gets
+    a job, executed or skipped), so a cell's IDs can be reserved before it
+    executes.
+    """
+    return 1 + experiment.total_test_count()
+
+
+@dataclass
+class CellOutcome:
+    """One executed cell, before it is committed.
+
+    Times in :attr:`run` are relative to the cell's start;
+    :meth:`ValidationRunner.run` rebases them onto the shared clock.
+    """
+
+    run: ValidationRun
+    #: The ``results`` documents the cell writes, as (key, document) in
+    #: write order.
+    puts: List[Tuple[str, Dict[str, object]]]
+    #: Simulated seconds the cell took.
+    elapsed_seconds: int
+
+
+class _CellScope:
+    """The per-cell state :meth:`ValidationRunner.execute` works on."""
+
+    def __init__(self, prefix: str, first_job: int) -> None:
+        self.clock = SimulatedClock(0)
+        self.ids = JobIdAllocator(prefix, start=first_job)
+        self.puts: List[Tuple[str, Dict[str, object]]] = []
 
 
 @dataclass
@@ -106,39 +158,114 @@ class ValidationRunner:
         experiment: ExperimentDefinition,
         configuration: EnvironmentConfiguration,
         description: Optional[str] = None,
+        compiled: Optional[Tuple[BuildCampaign, int]] = None,
+        outcome: Optional[CellOutcome] = None,
     ) -> ValidationRun:
-        """Run the full suite of *experiment* on *configuration*."""
-        run_id = self.id_allocator.allocate()
-        description = description or f"{experiment.name}-{configuration.key}"
+        """Run the full suite of *experiment* on *configuration*.
+
+        A cell whose first steps already ran elsewhere resumes from them:
+        *compiled* is what :meth:`compile` returned, *outcome* what
+        :meth:`execute` returned (a campaign compiles ahead and executes in
+        pool workers).  The commit — rebasing the outcome onto the clock,
+        writing its documents and artifacts, recording the run — always
+        happens here.
+        """
+        if compiled is None:
+            if outcome is not None:
+                raise ReproError("an executed cell cannot be committed without its compile")
+            compiled = self.compile(experiment, configuration)
+        campaign, first_job = compiled
+        if outcome is None:
+            outcome = self.execute(experiment, configuration, campaign, first_job, description)
+        run = outcome.run
+        started_at = self.clock.now
+        run.started_at += started_at
+        for job in run.jobs:
+            job.started_at += started_at
+        for key, document in outcome.puts:
+            self.storage.put("results", key, document)
+        for package in experiment.inventory.all():
+            tarball = campaign.result_for(package.name).tarball
+            if tarball is not None:
+                self.artifact_store.store(tarball, label=run.run_id)
+        self.clock.advance(outcome.elapsed_seconds)
+        self._record(run)
+        return run
+
+    # -- step 1: compile (caller's process) -------------------------------------
+    def compile(
+        self,
+        experiment: ExperimentDefinition,
+        configuration: EnvironmentConfiguration,
+    ) -> Tuple[BuildCampaign, int]:
+        """Reserve the cell's job IDs and build its inventory.
+
+        Returns the build campaign and the first reserved job sequence
+        number.  A failed build spends only the run ID, as a run that
+        allocates its IDs one by one would.
+        """
+        first_job = self.id_allocator.reserve(cell_job_count(experiment))
+        try:
+            campaign = self.builder.build_inventory(experiment.inventory, configuration)
+        except BaseException:
+            self.id_allocator.rewind(first_job + 1)
+            raise
+        return campaign, first_job
+
+    # -- step 2: execute (pure; may run in a forked child) ----------------------
+    def execute(
+        self,
+        experiment: ExperimentDefinition,
+        configuration: EnvironmentConfiguration,
+        campaign: BuildCampaign,
+        first_job: int,
+        description: Optional[str] = None,
+    ) -> CellOutcome:
+        """Run the compilation bookkeeping and both test phases of one cell.
+
+        Reads the runner's settings and collaborators but changes none of
+        its state: IDs come from the range reserved at *first_job*, time
+        from a clock starting at 0, and the stored outputs are returned
+        instead of written.
+        """
+        scope = _CellScope(self.id_allocator.prefix, first_job)
         software_versions = dict(configuration.external_map())
         software_versions["operating_system"] = configuration.operating_system.name
         software_versions["compiler"] = configuration.compiler.name
         run = ValidationRun(
-            run_id=run_id,
+            run_id=scope.ids.allocate(),
             experiment=experiment.name,
             configuration_key=configuration.key,
-            description=description,
-            started_at=self.clock.now,
+            description=description or f"{experiment.name}-{configuration.key}",
+            started_at=scope.clock.now,
             software_versions=software_versions,
         )
-        campaign = self._run_compilation_phase(run, experiment, configuration)
+        self._run_compilation_jobs(scope, run, experiment, configuration, campaign)
         numeric_context = self.numeric_context_factory(configuration)
-        self._run_standalone_phase(run, experiment, configuration, campaign, numeric_context)
-        self._run_chain_phase(run, experiment, configuration, campaign, numeric_context)
-        self._record(run)
-        return run
+        self._run_standalone_phase(
+            scope, run, experiment, configuration, campaign, numeric_context
+        )
+        self._run_chain_phase(scope, run, experiment, configuration, campaign, numeric_context)
+        used = scope.ids.allocated_count + 1 - first_job
+        if used != cell_job_count(experiment):
+            raise ReproError(
+                f"run {run.run_id} used {used} job IDs but reserved "
+                f"{cell_job_count(experiment)}"
+            )
+        return CellOutcome(run=run, puts=scope.puts, elapsed_seconds=scope.clock.now)
 
-    # -- phase 1: compilation -------------------------------------------------
-    def _run_compilation_phase(
+    # -- phase 1: compilation jobs ------------------------------------------------
+    def _run_compilation_jobs(
         self,
+        scope: _CellScope,
         run: ValidationRun,
         experiment: ExperimentDefinition,
         configuration: EnvironmentConfiguration,
-    ) -> BuildCampaign:
-        campaign = self.builder.build_inventory(experiment.inventory, configuration)
+        campaign: BuildCampaign,
+    ) -> None:
         for package in experiment.inventory.all():
             result = campaign.result_for(package.name)
-            job_id = self.id_allocator.allocate()
+            job_id = scope.ids.allocate()
             if result.succeeded:
                 status = JobStatus.PASSED
             elif result.status.value == "skipped":
@@ -146,8 +273,6 @@ class ValidationRunner:
             else:
                 status = JobStatus.FAILED
             messages = [str(diagnostic) for diagnostic in result.diagnostics]
-            if result.tarball is not None:
-                self.artifact_store.store(result.tarball, label=run.run_id)
             output = TestOutput(
                 kind=OutputKind.YES_NO,
                 passed=status is JobStatus.PASSED,
@@ -161,20 +286,22 @@ class ValidationRunner:
                 configuration_key=configuration.key,
                 kind=TestKind.COMPILATION,
                 status=status,
-                started_at=self.clock.now,
+                started_at=scope.clock.now,
                 duration_seconds=result.build_seconds,
                 output=output,
-                output_key=self._store_output(run.run_id, f"compile-{package.name}", output),
+                output_key=self._store_output(
+                    scope, run.run_id, f"compile-{package.name}", output
+                ),
                 messages=messages,
                 process="compilation",
             )
             run.add_job(job)
-            self.clock.advance(int(result.build_seconds) + 1)
-        return campaign
+            scope.clock.advance(int(result.build_seconds) + 1)
 
     # -- phase 2: standalone tests ---------------------------------------------
     def _run_standalone_phase(
         self,
+        scope: _CellScope,
         run: ValidationRun,
         experiment: ExperimentDefinition,
         configuration: EnvironmentConfiguration,
@@ -183,13 +310,14 @@ class ValidationRunner:
     ) -> None:
         for test in experiment.standalone_tests:
             job = self._execute_test(
-                run, test, configuration, campaign, numeric_context, chain_state=None
+                scope, run, test, configuration, campaign, numeric_context, chain_state=None
             )
             run.add_job(job)
 
     # -- phase 3: analysis chains ------------------------------------------------
     def _run_chain_phase(
         self,
+        scope: _CellScope,
         run: ValidationRun,
         experiment: ExperimentDefinition,
         configuration: EnvironmentConfiguration,
@@ -202,12 +330,13 @@ class ValidationRunner:
             for step in chain.steps:
                 if chain_broken and self.settings.stop_chain_on_failure:
                     job = self._skipped_job(
-                        run, step, configuration,
+                        scope, step, configuration,
                         reason=f"previous step of chain {chain.name!r} failed",
                     )
                 else:
                     job = self._execute_test(
-                        run, step, configuration, campaign, numeric_context, chain_state
+                        scope, run, step, configuration, campaign, numeric_context,
+                        chain_state,
                     )
                 if job.status is not JobStatus.PASSED:
                     chain_broken = True
@@ -216,6 +345,7 @@ class ValidationRunner:
     # -- job execution -------------------------------------------------------
     def _execute_test(
         self,
+        scope: _CellScope,
         run: ValidationRun,
         test: ValidationTestSpec,
         configuration: EnvironmentConfiguration,
@@ -223,8 +353,8 @@ class ValidationRunner:
         numeric_context: NumericContext,
         chain_state: Optional[Dict[str, object]],
     ) -> ValidationJob:
-        job_id = self.id_allocator.allocate()
-        started_at = self.clock.now
+        job_id = scope.ids.allocate()
+        started_at = scope.clock.now
         duration = self.settings.simulated_seconds_per_test
         # A test cannot run if a package it needs did not build.
         missing_packages = [
@@ -232,7 +362,7 @@ class ValidationRunner:
             if name in campaign.results and not campaign.result_for(name).succeeded
         ]
         if missing_packages:
-            self.clock.advance(1)
+            scope.clock.advance(1)
             return ValidationJob(
                 job_id=job_id,
                 test_name=test.name,
@@ -253,7 +383,7 @@ class ValidationRunner:
         errors = [issue for issue in issues if issue.is_error()]
         messages = [str(issue) for issue in issues]
         if errors:
-            self.clock.advance(int(duration * 0.1) + 1)
+            scope.clock.advance(int(duration * 0.1) + 1)
             output = TestOutput(
                 kind=OutputKind.YES_NO, passed=False, yes_no=False, messages=messages
             )
@@ -267,7 +397,7 @@ class ValidationRunner:
                 started_at=started_at,
                 duration_seconds=duration * 0.1,
                 output=output,
-                output_key=self._store_output(run.run_id, test.name, output),
+                output_key=self._store_output(scope, run.run_id, test.name, output),
                 messages=messages,
                 chain=test.chain,
                 process=test.process,
@@ -307,7 +437,7 @@ class ValidationRunner:
             )
         output.messages.extend(messages)
         status = JobStatus.PASSED if output.passed else JobStatus.FAILED
-        self.clock.advance(int(duration) + 1)
+        scope.clock.advance(int(duration) + 1)
         return ValidationJob(
             job_id=job_id,
             test_name=test.name,
@@ -318,7 +448,7 @@ class ValidationRunner:
             started_at=started_at,
             duration_seconds=duration,
             output=output,
-            output_key=self._store_output(run.run_id, test.name, output),
+            output_key=self._store_output(scope, run.run_id, test.name, output),
             messages=list(output.messages),
             chain=test.chain,
             process=test.process,
@@ -326,13 +456,13 @@ class ValidationRunner:
 
     def _skipped_job(
         self,
-        run: ValidationRun,
+        scope: _CellScope,
         test: ValidationTestSpec,
         configuration: EnvironmentConfiguration,
         reason: str,
     ) -> ValidationJob:
-        job_id = self.id_allocator.allocate()
-        self.clock.advance(1)
+        job_id = scope.ids.allocate()
+        scope.clock.advance(1)
         return ValidationJob(
             job_id=job_id,
             test_name=test.name,
@@ -340,7 +470,7 @@ class ValidationRunner:
             configuration_key=configuration.key,
             kind=test.kind,
             status=JobStatus.SKIPPED,
-            started_at=self.clock.now,
+            started_at=scope.clock.now,
             duration_seconds=0.0,
             messages=[reason],
             chain=test.chain,
@@ -348,9 +478,12 @@ class ValidationRunner:
         )
 
     # -- persistence ------------------------------------------------------------
-    def _store_output(self, run_id: str, test_name: str, output: TestOutput) -> str:
+    @staticmethod
+    def _store_output(
+        scope: _CellScope, run_id: str, test_name: str, output: TestOutput
+    ) -> str:
         key = f"{run_id}_{test_name}"
-        self.storage.put("results", key, output.to_document())
+        scope.puts.append((key, output.to_document()))
         return key
 
     def _record(self, run: ValidationRun) -> None:
@@ -378,8 +511,10 @@ class ValidationRunner:
 
 
 __all__ = [
+    "CellOutcome",
     "ValidationRunner",
     "RunnerSettings",
     "default_numeric_context",
     "NumericContextFactory",
+    "cell_job_count",
 ]

@@ -16,6 +16,7 @@ from typing import Callable, Dict, Iterable, List, Optional
 
 from repro._common import ReproError, SchedulingError, StorageError, ValidationError
 from repro.buildsys.builder import PackageBuilder
+from repro.core.cellpass import PreparedCell, execute_cell
 from repro.core.diagnosis import DiagnosisReport, FailureDiagnosisEngine
 from repro.core.freeze import FreezeManager, FreezeReason, FrozenSystem
 from repro.core.intervention import InterventionTicket
@@ -23,6 +24,7 @@ from repro.core.jobs import ValidationRun
 from repro.core.recipe import RecipeBook, ValidatedRecipe
 from repro.core.regression import RegressionDetector, RegressionReport
 from repro.core.runner import (
+    CellOutcome,
     NumericContextFactory,
     RunnerSettings,
     ValidationRunner,
@@ -348,6 +350,26 @@ class SPSystem:
         result is compared against the last successful run, failures are
         diagnosed and intervention tickets opened.
         """
+        cell = self.prepare_cell(
+            experiment_name, configuration_key, description, reference_configuration_key
+        )
+        return self.commit_cell(cell, execute_cell(self, cell))
+
+    def prepare_cell(
+        self,
+        experiment_name: str,
+        configuration_key: str,
+        description: Optional[str] = None,
+        reference_configuration_key: Optional[str] = None,
+    ) -> PreparedCell:
+        """Compile one cell: the first step of :meth:`validate`.
+
+        Checks that the experiment may be validated, reserves the cell's job
+        IDs and builds its inventory through the runner's builder.  The
+        prepared cell is then executed (:func:`~repro.core.cellpass.execute_cell`)
+        and committed (:meth:`commit_cell`); cells must be committed in the
+        order they were prepared.
+        """
         experiment = self.experiment(experiment_name)
         configuration = self.configuration(configuration_key)
         phase = self.workflow.phase_of(experiment_name)
@@ -356,15 +378,47 @@ class SPSystem:
                 f"experiment {experiment_name} is frozen; no further validation runs"
             )
         if phase is WorkflowPhase.PREPARATION:
+            self.workflow.ensure_ready(experiment, configuration)
+        build, first_job = self.runner.compile(experiment, configuration)
+        return PreparedCell(
+            experiment=experiment_name,
+            configuration_key=configuration_key,
+            description=description,
+            reference_configuration_key=reference_configuration_key,
+            build=build,
+            first_job=first_job,
+        )
+
+    def commit_cell(
+        self, cell: PreparedCell, outcome: CellOutcome
+    ) -> ValidationCycleResult:
+        """Record an executed cell and react to it: the last step of :meth:`validate`.
+
+        The run is rebased onto the system clock and recorded; then it is
+        compared against the last successful run, a failure is diagnosed and
+        tickets are opened, and the experiment's work-flow phase follows.
+        """
+        experiment_name = cell.experiment
+        experiment = self.experiment(experiment_name)
+        configuration = self.configuration(cell.configuration_key)
+        if self.workflow.phase_of(experiment_name) is WorkflowPhase.PREPARATION:
             self.workflow.complete_preparation(experiment, configuration, self.clock.now)
-        run = self.runner.run(experiment, configuration, description)
+        run = self.runner.run(
+            experiment,
+            configuration,
+            cell.description,
+            compiled=(cell.build, cell.first_job),
+            outcome=outcome,
+        )
         regression_report = self.regression_detector.compare_to_reference(run)
         diagnosis: Optional[DiagnosisReport] = None
         tickets: List[InterventionTicket] = []
         if not run.all_passed:
             reference_configuration = None
-            if reference_configuration_key is not None:
-                reference_configuration = self.configuration(reference_configuration_key)
+            if cell.reference_configuration_key is not None:
+                reference_configuration = self.configuration(
+                    cell.reference_configuration_key
+                )
             elif regression_report.reference_configuration_key in self._configurations:
                 reference_configuration = self._configurations[
                     regression_report.reference_configuration_key
@@ -420,7 +474,10 @@ class SPSystem:
         identical package builds.  The produced runs and catalogue records
         are bit-identical to calling :meth:`validate` cell by cell, for any
         worker count, any policy and any backend — and, thanks to replayed
-        cache entries, for any warm-start state.
+        cache entries, for any warm-start state.  With two or more worker
+        slots (and CPUs), the cells' test phases run in forked worker
+        processes while this process compiles and commits them in matrix
+        order (see :mod:`repro.scheduler.campaign`).
 
         With ``spec.warm_start`` (the default), a build-cache journal
         persisted in the common storage's ``buildcache`` namespace is

@@ -152,7 +152,10 @@ class ExecutionContext:
     shell_variables: Dict[str, str] = field(default_factory=dict)
 
 
-#: Signature of a test executor.
+#: Signature of a test executor.  An executor must be a pure function of
+#: its :class:`ExecutionContext`: a campaign may call it in a forked worker
+#: process, where changes to anything but the returned output (and the
+#: chain state it hands to the next step of its chain) are lost.
 TestExecutor = Callable[[ExecutionContext], TestOutput]
 
 

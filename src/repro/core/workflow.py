@@ -203,6 +203,20 @@ class PreservationWorkflow:
         }
         return report
 
+    def ensure_ready(
+        self,
+        experiment: ExperimentDefinition,
+        baseline_configuration: EnvironmentConfiguration,
+    ) -> PreparationReport:
+        """The preparation report; raises unless the experiment may leave preparation."""
+        report = self.prepare(experiment, baseline_configuration)
+        if not report.ready:
+            raise ValidationError(
+                f"experiment {experiment.name} is not ready to leave preparation: "
+                + "; ".join(report.issues())
+            )
+        return report
+
     def complete_preparation(
         self,
         experiment: ExperimentDefinition,
@@ -210,12 +224,7 @@ class PreservationWorkflow:
         timestamp: int,
     ) -> PreparationReport:
         """Run the preparation checks and, if clean, enter regular validation."""
-        report = self.prepare(experiment, baseline_configuration)
-        if not report.ready:
-            raise ValidationError(
-                f"experiment {experiment.name} is not ready to leave preparation: "
-                + "; ".join(report.issues())
-            )
+        report = self.ensure_ready(experiment, baseline_configuration)
         self.transition(
             experiment.name,
             WorkflowPhase.REGULAR_VALIDATION,

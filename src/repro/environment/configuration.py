@@ -178,22 +178,16 @@ def configuration_fingerprint(configuration: EnvironmentConfiguration) -> str:
     validation history ledger records it per cell so a longitudinal query
     can see that "the same" configuration changed underneath an experiment.
 
-    The fingerprint is memoised on the frozen configuration instance: the
-    build cache re-derives it on every lookup and store, and the history
-    ledger on every ingested cell, so a 10k-cell campaign would otherwise
-    recompute the identical digest tens of thousands of times.  The
-    dataclass hashes by value, which makes it a sound memo key; an
-    unhashable hand-built variant falls back to direct computation.
+    The fingerprint is computed once per configuration instance and kept
+    on it (the instance is frozen, so it cannot go stale): the build cache
+    re-derives it on every lookup and store, and the history ledger on
+    every ingested cell.
     """
-    try:
-        cached = _FINGERPRINTS.get(configuration)
-    except TypeError:
-        return _configuration_fingerprint(configuration)
+    cached = configuration.__dict__.get("_fingerprint")
     if cached is None:
-        if len(_FINGERPRINTS) >= _FINGERPRINTS_MAX:
-            _FINGERPRINTS.clear()
         cached = _configuration_fingerprint(configuration)
-        _FINGERPRINTS[configuration] = cached
+        # Not a dataclass field: equality, hashing and replace() ignore it.
+        object.__setattr__(configuration, "_fingerprint", cached)
     return cached
 
 
@@ -209,12 +203,6 @@ def _configuration_fingerprint(configuration: EnvironmentConfiguration) -> str:
         sorted(configuration.external_map().items()),
     )
 
-
-#: Memo table of :func:`configuration_fingerprint`, keyed by the frozen
-#: configuration; bounded so synthetic fleets of generated configurations
-#: cannot grow it without limit.
-_FINGERPRINTS: Dict[EnvironmentConfiguration, str] = {}
-_FINGERPRINTS_MAX = 65536
 
 
 class EnvironmentFactory:

@@ -2,7 +2,7 @@
 
 The campaign scheduler separates *what* a campaign produces from *how* its
 DAG is executed.  The scientific output — run documents and catalogue
-records — always comes from the deterministic cell pass, executed in the
+records — always comes from the deterministic cell pass, committed in the
 sequential path's exact order; that is the invariant that keeps every
 backend bit-identical.  What a backend decides is the campaign's wall-clock
 story: how the derived task DAG is dispatched over the worker pool and what

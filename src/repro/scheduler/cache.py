@@ -263,6 +263,20 @@ class CacheStatistics:
         )
 
 
+@dataclass(frozen=True)
+class CacheCheckpoint:
+    """The live state of a :class:`BuildCache` (see :meth:`BuildCache.checkpoint`)."""
+
+    entries: Dict[str, BuildResult]
+    owners: Dict[str, str]
+    shared_counts: Dict[str, int]
+    recency: Dict[str, int]
+    tick: int
+    statistics: CacheStatistics
+    #: How many artifacts the artifact store held.
+    artifacts: int
+
+
 class BuildCache:
     """Caches build results by content digest, backed by the artifact store."""
 
@@ -489,6 +503,39 @@ class BuildCache:
         self._owners.pop(key, None)
         self._shared_counts.pop(key, None)
         self.statistics.evictions += 1
+
+    # -- rollback --------------------------------------------------------------
+    def checkpoint(self) -> CacheCheckpoint:
+        """The live state, for undoing the lookups and stores that follow.
+
+        A campaign compiles cells ahead of committing them; when it stops
+        early, :meth:`rollback` to the first uncommitted cell's checkpoint
+        leaves the cache as a campaign that never compiled those cells.
+        """
+        return CacheCheckpoint(
+            entries=dict(self._entries),
+            owners=dict(self._owners),
+            shared_counts=dict(self._shared_counts),
+            recency=dict(self._recency),
+            tick=self._tick,
+            statistics=self.statistics.snapshot(),
+            artifacts=len(self.artifact_store) if self.artifact_store is not None else 0,
+        )
+
+    def rollback(self, checkpoint: CacheCheckpoint) -> None:
+        """Return to *checkpoint*: entries, statistics and stored artifacts."""
+        for live, saved in (
+            (self._entries, checkpoint.entries),
+            (self._owners, checkpoint.owners),
+            (self._shared_counts, checkpoint.shared_counts),
+            (self._recency, checkpoint.recency),
+        ):
+            live.clear()
+            live.update(saved)
+        self._tick = checkpoint.tick
+        self.statistics = checkpoint.statistics.snapshot()
+        if self.artifact_store is not None:
+            self.artifact_store.truncate(checkpoint.artifacts)
 
     # -- size accounting -----------------------------------------------------
     @staticmethod
@@ -982,6 +1029,7 @@ __all__ = [
     "package_identity_digest",
     "build_cache_key",
     "CacheStatistics",
+    "CacheCheckpoint",
     "BuildCache",
     "CachingPackageBuilder",
 ]

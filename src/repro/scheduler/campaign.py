@@ -9,19 +9,38 @@ DAG from the executed runs and hands it to the selected
 :class:`~repro.scheduler.backends.ExecutionBackend` for dispatch over the
 worker pool.
 
-Cell execution deliberately happens in the exact order of the sequential
-path (experiments outer, configurations inner, rounds outermost), so job
-IDs, simulated timestamps and therefore the produced
+Each round of cells runs in three steps (the same steps
+:meth:`SPSystem.validate` performs inline for one cell):
+
+1. *compile* — in this process, in matrix order (rounds outermost, then
+   experiments, then configurations): every cell's inventory is built
+   through the caching builder and its job IDs are reserved;
+2. *execute* — the cells' test phases run in the children of a ``fork``
+   process pool when the campaign has two or more worker slots, CPUs and
+   cells in the round, and inline otherwise;
+3. *commit* — in this process, in matrix order: each outcome is rebased
+   onto the system clock, recorded, compared, diagnosed and announced
+   (``on_cell_complete``, the ``cell_validate`` span, ``cell_completed``).
+
+So job IDs, simulated timestamps and therefore the produced
 :class:`~repro.core.jobs.ValidationRun` documents and
 :class:`~repro.storage.catalog.RunCatalog` records are bit-identical to
 calling :meth:`SPSystem.validate` cell by cell — whatever the worker count
-and whichever backend.  The backend changes the campaign's wall-clock story
-(makespan, utilisation, retries after worker failures — simulated or
-measured on real threads), never its scientific output.
+and whichever backend — and so are the cache statistics, lifecycle events
+and cell-category spans.  A failing cell is named in a
+:class:`~repro._common.SchedulingError`; the cells before it stay recorded
+and the cells compiled after it are undone.  The backend changes the
+campaign's wall-clock story (makespan, utilisation, retries after worker
+failures — simulated or measured on real threads), never its scientific
+output.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -38,7 +57,14 @@ from typing import (
 from repro._common import SchedulingError, chunked, stable_digest
 from repro.buildsys.builder import BuildTask, PackageBuilder, build_result_digest
 from repro.buildsys.graph import DependencyGraph
+from repro.core.cellpass import (
+    PreparedCell,
+    adopt_system,
+    execute_cell,
+    execute_forked_cell,
+)
 from repro.core.jobs import JobStatus, ValidationRun
+from repro.core.runner import CellOutcome
 from repro.core.testspec import ExperimentDefinition
 from repro.reporting.summary import render_campaign_report
 from repro.scheduler.backends import (
@@ -47,7 +73,12 @@ from repro.scheduler.backends import (
     TaskPayload,
     execution_backend,
 )
-from repro.scheduler.cache import BuildCache, CacheStatistics, CachingPackageBuilder
+from repro.scheduler.cache import (
+    BuildCache,
+    CacheCheckpoint,
+    CacheStatistics,
+    CachingPackageBuilder,
+)
 from repro.scheduler.dag import CampaignDAG, CampaignTask, TaskKind
 from repro.scheduler.lifecycle import (
     EVENT_BUDGET_EXCEEDED,
@@ -58,6 +89,7 @@ from repro.scheduler.pool import (
     PoolSchedule,
     SchedulingPolicy,
     WorkerFailure,
+    effective_slots_per_worker,
     scheduling_policy,
 )
 from repro.scheduler.spec import DEFAULT_BATCH_SIZE, CampaignSpec, ValidationRequest
@@ -276,28 +308,35 @@ class CampaignScheduler:
             effective_cache = self.cache
         statistics_before = effective_cache.statistics.snapshot()
         cells: List[CampaignCell] = []
-        for _round in range(rounds):
-            cells.extend(
-                self._execute_cells(
-                    requests,
-                    description,
-                    cell_builder,
-                    on_cell_complete,
-                    index_offset=len(cells),
-                )
-            )
-            if self.use_cache and self.cache_budget_bytes is not None:
-                evicted = effective_cache.enforce_budget(self.cache_budget_bytes)
-                if evicted and self.lifecycle is not None:
-                    self.lifecycle.emit(
-                        EVENT_BUDGET_EXCEEDED,
-                        campaign_id=self.campaign_id,
-                        payload={
-                            "budget_bytes": self.cache_budget_bytes,
-                            "evicted_entries": evicted,
-                            "round": _round + 1,
-                        },
+        pool = self._cell_pool(len(requests))
+        try:
+            for _round in range(rounds):
+                cells.extend(
+                    self._execute_cells(
+                        requests,
+                        description,
+                        cell_builder,
+                        effective_cache if self.use_cache else None,
+                        pool,
+                        on_cell_complete,
+                        index_offset=len(cells),
                     )
+                )
+                if self.use_cache and self.cache_budget_bytes is not None:
+                    evicted = effective_cache.enforce_budget(self.cache_budget_bytes)
+                    if evicted and self.lifecycle is not None:
+                        self.lifecycle.emit(
+                            EVENT_BUDGET_EXCEEDED,
+                            campaign_id=self.campaign_id,
+                            payload={
+                                "budget_bytes": self.cache_budget_bytes,
+                                "evicted_entries": evicted,
+                                "round": _round + 1,
+                            },
+                        )
+        finally:
+            if pool is not None:
+                pool.shutdown()
         with self.telemetry.tracer.span("dag_construction", category="cell"):
             dag, payloads = self._build_dag(cells, effective_cache)
         try:
@@ -373,27 +412,79 @@ class CampaignScheduler:
         unwrapped = self._unwrap_builder(original)
         return None if unwrapped is original else unwrapped
 
+    def _cell_pool(self, cells_per_round: int) -> Optional[_CellPool]:
+        """A ``fork`` pool for the cells' test phases, or None to run them inline.
+
+        The pool has one process per usable slot: the campaign's worker
+        slots, capped by the CPUs this process may run on and by the cells
+        of one round.  Fewer than two slots (or no ``fork``) runs inline.
+        """
+        slots = self.workers * effective_slots_per_worker(self.worker_profile)
+        cpus = (
+            len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1
+        )
+        size = min(slots, cpus, cells_per_round)
+        if size < 2 or "fork" not in multiprocessing.get_all_start_methods():
+            return None
+        return _CellPool(self.system, size)
+
     def _execute_cells(
         self,
         requests: Sequence[ValidationRequest],
         description: Optional[str],
         cell_builder: Optional[PackageBuilder],
+        cache: Optional[BuildCache],
+        pool: Optional[_CellPool],
         on_cell_complete: Optional[CellCallback] = None,
         index_offset: int = 0,
     ) -> List[CampaignCell]:
-        """Run one round of cells in sequential order.
+        """Run one round of cells: compile all, execute, commit in order.
 
-        With a *cell_builder*, it replaces the runner's builder for the
-        duration of the round (the caching wrapper on the warm path, the
-        unwrapped base on the cold path); ``None`` leaves the runner
-        untouched.
+        Every cell is compiled in the parent, in matrix order, through the
+        round's builder (*cell_builder* replaces the runner's builder for
+        the round — the caching wrapper on the warm path, the unwrapped
+        base on the cold path; ``None`` leaves the runner untouched).  Each
+        compiled cell's test phases run on *pool* — or inline without one —
+        and the outcomes are committed in matrix order, so job IDs, the
+        simulated clock, documents, events and cell spans come out exactly
+        as in the serial pass.
+
+        If the round stops early, the cells compiled but never committed
+        are undone: the job-ID allocator and *cache* return to the first
+        uncommitted cell's state.
         """
         original_builder = self.system.runner.builder
+        prepared: List[Tuple[int, ValidationRequest, PreparedCell]] = []
+        checkpoints: List[Optional[CacheCheckpoint]] = []
+        pending: List[Optional[Future]] = []
         cells: List[CampaignCell] = []
+        # Cells whose commit has begun; a commit that raises still counts,
+        # as its run stays recorded just like in the serial pass.
+        committed = 0
+        prepare_error: Optional[Exception] = None
         try:
             if cell_builder is not None:
                 self.system.runner.builder = cell_builder
             for index, request in enumerate(requests, start=index_offset):
+                checkpoint = cache.checkpoint() if cache is not None else None
+                try:
+                    cell = self.system.prepare_cell(
+                        request.experiment,
+                        request.configuration_key,
+                        description=request.description or description,
+                        reference_configuration_key=request.reference_configuration_key,
+                    )
+                except Exception as error:
+                    # Surfaces after the cells before it are committed, as
+                    # in the serial pass.
+                    prepare_error = error
+                    break
+                prepared.append((index, request, cell))
+                checkpoints.append(checkpoint)
+                pending.append(pool.submit(cell) if pool is not None else None)
+            for position, (index, request, cell) in enumerate(prepared):
                 # The span attributes are pure matrix coordinates, so the
                 # cell-pass span sequence is identical on every backend.
                 with self.telemetry.tracer.span(
@@ -402,43 +493,100 @@ class CampaignScheduler:
                     experiment=request.experiment,
                     configuration=request.configuration_key,
                 ):
-                    result = self.system.validate(
-                        request.experiment,
-                        request.configuration_key,
-                        description=request.description or description,
-                        reference_configuration_key=request.reference_configuration_key,
-                    )
-                self.telemetry.metrics.increment(
-                    "scheduler_cells_total", backend=self.backend.name
-                )
-                cell = CampaignCell(
+                    outcome = self._outcome(position, prepared, pending, pool)
+                    pending[position] = None
+                    committed += 1
+                    result = self.system.commit_cell(cell, outcome)
+                cell_record = CampaignCell(
                     index=index,
                     experiment=request.experiment,
                     configuration_key=request.configuration_key,
                     result=result,
                 )
-                cells.append(cell)
-                if on_cell_complete is not None:
-                    on_cell_complete(cell)
-                # Emitted from the deterministic cell pass — not from the
-                # wall-clock dispatch — so the per-cell event order is
-                # identical on every backend (the parity-tested contract).
-                if self.lifecycle is not None:
-                    self.lifecycle.emit(
-                        EVENT_CELL_COMPLETED,
-                        campaign_id=self.campaign_id,
-                        payload={
-                            "cell_index": cell.index,
-                            "experiment": cell.experiment,
-                            "configuration_key": cell.configuration_key,
-                            "run_id": cell.run.run_id,
-                            "passed": cell.result.successful,
-                        },
-                        subjects={"cell": cell},
-                    )
+                cells.append(cell_record)
+                self._complete(cell_record, on_cell_complete)
         finally:
             self.system.runner.builder = original_builder
+            if committed < len(prepared):
+                for future in pending[committed:]:
+                    if future is not None:
+                        future.cancel()
+                self.system.runner.id_allocator.rewind(prepared[committed][2].first_job)
+                checkpoint = checkpoints[committed]
+                if checkpoint is not None:
+                    cache.rollback(checkpoint)  # type: ignore[union-attr]
+        if prepare_error is not None:
+            raise prepare_error
         return cells
+
+    def _outcome(
+        self,
+        position: int,
+        prepared: Sequence[Tuple[int, ValidationRequest, PreparedCell]],
+        pending: List[Optional[Future]],
+        pool: Optional[_CellPool],
+    ) -> CellOutcome:
+        """The executed cell at *position*, or a :class:`SchedulingError` naming it.
+
+        Cells are committed in index order, so the cells before this one
+        are recorded whatever happens to it.
+        """
+        index, _request, cell = prepared[position]
+        try:
+            if pool is None:
+                return execute_cell(self.system, cell)
+            try:
+                return pending[position].result()  # type: ignore[union-attr]
+            except BrokenProcessPool:
+                if pool.isolated:
+                    raise
+                # A dead worker breaks every cell in flight, and which one
+                # killed it is unknown: rerun them one at a time, so that
+                # the cells before the culprit still commit and a second
+                # death names it.
+                pool.isolate()
+                for later in range(position, len(prepared)):
+                    pending[later] = pool.submit(prepared[later][2])
+                return pending[position].result()  # type: ignore[union-attr]
+        except Exception as error:
+            if isinstance(error, BrokenProcessPool):
+                what = "its worker process died"
+            else:
+                what = (
+                    "it failed outside its test executors: "
+                    f"{type(error).__name__}: {error}"
+                )
+            raise SchedulingError(
+                f"cell {index} ({cell.experiment} on {cell.configuration_key}): "
+                f"{what} (the {index} validation run(s) before it remain "
+                "recorded in the catalogue)"
+            ) from error
+
+    def _complete(
+        self, cell: CampaignCell, on_cell_complete: Optional[CellCallback]
+    ) -> None:
+        """Announce a committed cell: metric, callback, ``cell_completed``."""
+        self.telemetry.metrics.increment(
+            "scheduler_cells_total", backend=self.backend.name
+        )
+        if on_cell_complete is not None:
+            on_cell_complete(cell)
+        # Emitted from the deterministic cell pass — not from the
+        # wall-clock dispatch — so the per-cell event order is identical
+        # on every backend (the parity-tested contract).
+        if self.lifecycle is not None:
+            self.lifecycle.emit(
+                EVENT_CELL_COMPLETED,
+                campaign_id=self.campaign_id,
+                payload={
+                    "cell_index": cell.index,
+                    "experiment": cell.experiment,
+                    "configuration_key": cell.configuration_key,
+                    "run_id": cell.run.run_id,
+                    "passed": cell.result.successful,
+                },
+                subjects={"cell": cell},
+            )
 
     # -- DAG derivation --------------------------------------------------------
     def _build_dag(
@@ -614,6 +762,40 @@ class CampaignScheduler:
                 return stable_digest(digests)
 
         return verify
+
+
+class _CellPool:
+    """The ``fork`` process pool that runs cells' test phases.
+
+    Its children are forked from the campaign's process and execute cells
+    against their copy of the system (see :mod:`repro.core.cellpass`).
+    """
+
+    def __init__(self, system: "SPSystem", size: int) -> None:
+        self.system = system
+        #: True once a worker died and the pool was reduced to one worker.
+        self.isolated = False
+        self._executor = self._start(size)
+
+    def _start(self, size: int) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(
+            max_workers=size,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=adopt_system,
+            initargs=(self.system,),
+        )
+
+    def submit(self, cell: PreparedCell) -> Future:
+        return self._executor.submit(execute_forked_cell, cell)
+
+    def isolate(self) -> None:
+        """Replace the broken pool by a one-worker pool (cells run one at a time)."""
+        self._executor.shutdown(wait=True, cancel_futures=True)
+        self._executor = self._start(1)
+        self.isolated = True
+
+    def shutdown(self) -> None:
+        self._executor.shutdown(wait=True, cancel_futures=True)
 
 
 __all__ = [

@@ -103,6 +103,11 @@ class ArtifactStore:
         """Summed size of all stored artifacts."""
         return sum(artifact.tarball.size_bytes for artifact in self._artifacts.values())
 
+    def truncate(self, count: int) -> None:
+        """Remove every artifact stored after the first *count* (an undo)."""
+        for digest in list(self._artifacts)[count:]:
+            del self._artifacts[digest]
+
     def prune_unlabelled(self) -> int:
         """Remove artifacts no run references; returns how many were removed."""
         to_remove = [

@@ -90,6 +90,28 @@ class JobIdAllocator:
         self._next += 1
         return job_id
 
+    def reserve(self, count: int) -> int:
+        """Set aside *count* consecutive IDs; returns the first sequence number.
+
+        The holder allocates them itself, e.g. with a
+        ``JobIdAllocator(prefix, start=first)`` of its own.
+        """
+        if count < 0:
+            raise ReproError("cannot reserve a negative number of job ids")
+        first = self._next
+        self._next += count
+        return first
+
+    def rewind(self, sequence: int) -> None:
+        """Make *sequence* the next ID again, un-issuing every later one.
+
+        Only for reservations that were never used: handing out an ID twice
+        would break the uniqueness the catalogue relies on.
+        """
+        if sequence < 0:
+            raise ReproError("job id counter cannot start below zero")
+        self._next = sequence
+
     def ensure_past(self, sequence: int) -> None:
         """Advance the counter so no ID at or below *sequence* is re-issued.
 

@@ -10,6 +10,7 @@ cover the ``ValidationJob``/``ValidationRun`` document round-trip the
 structural comparisons rely on.
 """
 
+import multiprocessing
 import os
 import pickle
 
@@ -683,3 +684,118 @@ class TestHistoryRecordingBitIdentity:
         remounted = SPSystem(storage=warm.storage)
         assert len(remounted.history) == inherited + 2
         assert remounted.history.journal_records() == journal_before + 2
+
+
+#: Whether a two-cell round with two workers runs in a process pool here.
+_CELLS_RUN_IN_POOL = (
+    "fork" in multiprocessing.get_all_start_methods()
+    and (
+        len(os.sched_getaffinity(0))
+        if hasattr(os, "sched_getaffinity")
+        else os.cpu_count() or 1
+    )
+    >= 2
+)
+
+
+def _persisted_tree(system, directory):
+    """Every file a storage persist writes, as relative path -> bytes."""
+    system.storage.persist(str(directory))
+    tree = {}
+    for root, _directories, filenames in os.walk(str(directory)):
+        for filename in filenames:
+            path = os.path.join(root, filename)
+            with open(path, "rb") as handle:
+                tree[os.path.relpath(path, str(directory))] = handle.read()
+    return tree
+
+
+class TestParallelCellPass:
+    """The parallel cell pass is invisible in everything a campaign records.
+
+    With ``workers`` >= 2 (on a host with two or more CPUs) every round's
+    cells execute their test phases in forked pool workers; with one worker
+    they run inline.  Either way the parent compiles and commits in matrix
+    order, so the persisted storage is byte-identical to the sequential
+    ``validate`` baseline, and the cache statistics, lifecycle events and
+    cell-category spans match the inline one-worker campaign exactly.
+    """
+
+    SEED = 20131029
+    ROUNDS = 2
+
+    @staticmethod
+    def _campaign(backend, workers):
+        from repro.telemetry import Telemetry
+
+        telemetry = Telemetry.create()
+        system = _fresh_system(TestParallelCellPass.SEED, telemetry=telemetry)
+        campaign = system.submit(
+            CampaignSpec(
+                workers=workers,
+                backend=backend,
+                rounds=TestParallelCellPass.ROUNDS,
+                persist_spec=False,
+            )
+        ).result()
+        events = [
+            (
+                event.name,
+                {key: value for key, value in event.payload.items() if key != "backend"},
+            )
+            for event in system.lifecycle.events
+        ]
+        return system, campaign, events, telemetry.tracer.sequence(category="cell")
+
+    @pytest.fixture(scope="class")
+    def reference(self, tmp_path_factory):
+        keys = [c.key for c in _fresh_system(self.SEED).configurations()]
+        baseline_system, _baseline = _sequential_baseline(
+            self.SEED, keys, rounds=self.ROUNDS
+        )
+        _system, campaign, events, spans = self._campaign("simulated", 1)
+        return {
+            "tree": _persisted_tree(
+                baseline_system, tmp_path_factory.mktemp("sequential")
+            ),
+            "statistics": campaign.cache_statistics,
+            "events": events,
+            "spans": spans,
+        }
+
+    @pytest.mark.parametrize("backend", PARITY_BACKENDS)
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_every_worker_count_matches_the_sequential_pass(
+        self, reference, backend, workers, tmp_path
+    ):
+        system, campaign, events, spans = self._campaign(backend, workers)
+        assert _persisted_tree(system, tmp_path) == reference["tree"]
+        assert campaign.cache_statistics == reference["statistics"]
+        assert campaign.cache_statistics.hits > 0
+        assert events == reference["events"]
+        assert spans == reference["spans"]
+
+    def test_one_cell_campaign_creates_no_process_pool(self, monkeypatch):
+        """A single-cell campaign (a service submission) runs inline."""
+        import repro.scheduler.campaign as campaign_module
+
+        started = []
+
+        class RecordingPool(campaign_module._CellPool):
+            def __init__(self, system, size):
+                started.append(size)
+                super().__init__(system, size)
+
+        monkeypatch.setattr(campaign_module, "_CellPool", RecordingPool)
+        system = _fresh_system(self.SEED)
+        system.submit(
+            CampaignSpec(
+                configuration_keys=(KEYS[0],), workers=4, persist_spec=False
+            )
+        ).result()
+        assert started == []
+        system.submit(
+            CampaignSpec(configuration_keys=tuple(KEYS), workers=4, persist_spec=False)
+        ).result()
+        # Two cells on a host that can run them side by side get a pool.
+        assert started == ([2] if _CELLS_RUN_IN_POOL else [])

@@ -440,9 +440,43 @@ class TestFingerprintMemoisation:
         first = configuration_fingerprint(configuration)
         assert first == _configuration_fingerprint(configuration)
         assert configuration_fingerprint(configuration) == first
-        # A value-equal copy hits the same memo entry.
+        # A value-equal copy computes the same value.
         clone = sp_system_configurations()[0]
         assert configuration_fingerprint(clone) == first
+
+    def test_fingerprint_values_are_pinned(self):
+        """The memo is kept on the instance; the values never change.
+
+        The build-cache journal and the history ledger persist these
+        fingerprints, so a changed value would orphan every persisted entry.
+        """
+        from dataclasses import replace
+
+        from repro.environment.configuration import (
+            configuration_fingerprint,
+            sp_system_configurations,
+        )
+
+        expected = {
+            "SL5_32bit_gcc4.1": "33e3635e5de50755a92b3ba0ad40faaf9ffe8115",
+            "SL5_32bit_gcc4.4": "bd56a3f218d392b64ba38074b22baca4ff8ca3dd",
+            "SL5_64bit_gcc4.1": "58d532df435296e8df3f1f349a093ac6bbd031f8",
+            "SL5_64bit_gcc4.4": "5f7bd6eb09f32cf32e9affdaf20d69be689b95b5",
+            "SL6_64bit_gcc4.4": "f2d72a56e8f0b8fbf08dd968086deef3bd170f14",
+        }
+        configurations = sp_system_configurations()
+        assert {
+            configuration.key: configuration_fingerprint(configuration)
+            for configuration in configurations
+        } == expected
+        configuration = configurations[0]
+        assert configuration.__dict__["_fingerprint"] == expected[configuration.key]
+        # The cached value is no dataclass field: equality and hashing still
+        # compare the fields only, and a replaced copy computes its own.
+        assert configuration == sp_system_configurations()[0]
+        assert hash(configuration) == hash(sp_system_configurations()[0])
+        evolved = replace(configuration, externals=configuration.externals[1:])
+        assert configuration_fingerprint(evolved) != expected[configuration.key]
 
     def test_package_identity_digest_is_memoised_and_stable(self):
         from repro.experiments import build_hermes_experiment

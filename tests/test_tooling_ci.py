@@ -96,6 +96,7 @@ class TestCiScript:
         assert "telemetry-purity audit" in source
         assert "src/repro/telemetry" in source
         assert "src/repro/hepdata" in source
+        assert "src/repro/core/cellpass.py" in source
         # ... the bench-trend gate ...
         assert "bench-trends check" in source
         # ... and the explicit backend-parity shard.
@@ -312,14 +313,16 @@ class TestServicePurityAudit:
 class TestTelemetryPurityAudit:
     """Telemetry observes on monotonic clocks; science stays uninstrumented.
 
-    Two rules, both also enforced as a ``scripts/ci.sh`` stage: no
+    Three rules, all also enforced as a ``scripts/ci.sh`` stage: no
     ``time.time()`` under ``src/repro/telemetry/`` (the registry and
     tracer run on injectable monotonic clocks, so metric timestamps can
-    never be stepped by NTP), and no ``repro.telemetry`` import under the
+    never be stepped by NTP), no ``repro.telemetry`` import under the
     science layers ``src/repro/hepdata/`` and ``src/repro/environment/``
     (instrumentation wraps the science from the outside; a science module
     importing the observability layer could start influencing the numbers
-    it reports).
+    it reports), and no ``threading``, ``repro.telemetry`` or
+    ``repro.service`` import in the modules that run in forked cell-pass
+    workers.
     """
 
     CLOCK_PATTERN = re.compile(r"time\.time\(")
@@ -364,6 +367,32 @@ class TestTelemetryPurityAudit:
             + "\n".join(violations)
         )
 
+    #: Modules whose code runs in the campaign's forked cell-pass workers.
+    FORK_CHILD_MODULES = ("core/cellpass.py", "core/runner.py")
+    FORK_UNSAFE_IMPORT_PATTERN = re.compile(
+        r"^\s*(?:from|import)\s+(?:threading|repro\.telemetry|repro\.service)(?:[\s.]|$)"
+    )
+
+    def test_cell_pass_worker_modules_are_fork_safe(self):
+        """Pool children never import a layer that holds locks in threads.
+
+        A child forked while a parent thread (the service heartbeat, a
+        tracer) held a lock would deadlock on first touching that lock, so
+        the modules executing cells in forked workers import none of
+        ``threading``, ``repro.telemetry`` or ``repro.service``.
+        """
+        violations = []
+        for module in self.FORK_CHILD_MODULES:
+            path = os.path.join(REPO_ROOT, "src", "repro", module)
+            with open(path, encoding="utf-8") as handle:
+                for line_number, line in enumerate(handle, start=1):
+                    if self.FORK_UNSAFE_IMPORT_PATTERN.search(line):
+                        violations.append(f"{path}:{line_number}: {line.strip()}")
+        assert violations == [], (
+            "a cell-pass worker module imports threading, repro.telemetry or "
+            "repro.service:\n" + "\n".join(violations)
+        )
+
     def test_the_audit_patterns_catch_the_forbidden_shapes(self):
         """The regexes really fire on the shapes they must forbid."""
         assert self.CLOCK_PATTERN.search("stamp = time.time()")
@@ -378,3 +407,17 @@ class TestTelemetryPurityAudit:
         assert not self.IMPORT_PATTERN.search(
             "from repro.environment.compilers import Compiler"
         )
+        for violation in (
+            "import threading",
+            "from threading import Lock",
+            "from repro.telemetry import NULL_TELEMETRY",
+            "from repro.service.daemon import ValidationService",
+            "import repro.service",
+        ):
+            assert self.FORK_UNSAFE_IMPORT_PATTERN.search(violation)
+        for allowed in (
+            "from repro.storage.common_storage import CommonStorage",
+            "import threadingtools",
+            "from repro.core.runner import CellOutcome",
+        ):
+            assert not self.FORK_UNSAFE_IMPORT_PATTERN.search(allowed)
