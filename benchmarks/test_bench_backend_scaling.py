@@ -1,14 +1,13 @@
-"""Backend scaling — threads vs processes vs sharded on a 1000-cell campaign.
+"""Backend scaling — simulated vs processes on a 1000-cell campaign.
 
 The execution backends promise that the campaign's wall-clock story is the
 only thing they change: a 1000-cell synthetic campaign (5 configurations x
 200 rounds of a scaled-down HERMES) must produce run documents, history
 ledger events and cache statistics bit-identical to the simulated backend
-— whether the DAG is dispatched on OS threads, bridged task-by-task to a
-process pool, or partitioned cell-wise into shards whose private journals
-are merged back into the parent cache.  The recorded artefact is the
-cells-vs-wall-seconds table for the three real execution strategies next
-to the simulated baseline.
+when the DAG is really dispatched on the process pool, with every build
+re-compiled in a child process.  The recorded artefact is the
+cells-vs-wall-seconds table for the real executor next to the simulated
+timeline model.
 """
 
 import time
@@ -21,7 +20,8 @@ from repro.scheduler.spec import CampaignSpec
 from conftest import emit
 
 ROUNDS = 200  # x 5 standard configurations = 1000 matrix cells
-SHARDS = 4
+WORKERS = 4
+BACKENDS = ("simulated", "processes")
 
 
 def _fresh_system():
@@ -35,10 +35,9 @@ def _fresh_system():
 
 def _spec(backend):
     return CampaignSpec(
-        workers=SHARDS,
+        workers=WORKERS,
         rounds=ROUNDS,
         backend=backend,
-        shards=SHARDS if backend == "sharded" else None,
         record_history=True,
         persist_spec=False,
     )
@@ -72,58 +71,47 @@ def _science(system, campaign):
 
 
 def test_backend_scaling_1000_cells(benchmark):
-    results = {}
-    for backend in ("simulated", "threads", "processes"):
-        results[backend] = _run(backend)
-    sharded_holder = {}
+    results = {"simulated": _run("simulated")}
+    holder = {}
 
-    def _sharded():
-        sharded_holder["result"] = _run("sharded")
-        return sharded_holder["result"]
+    def _processes():
+        holder["result"] = _run("processes")
+        return holder["result"]
 
-    benchmark.pedantic(_sharded, rounds=1, iterations=1)
-    results["sharded"] = sharded_holder["result"]
+    benchmark.pedantic(_processes, rounds=1, iterations=1)
+    results["processes"] = holder["result"]
 
     reference_system, reference_campaign, _ = results["simulated"]
     assert reference_campaign.n_cells == 5 * ROUNDS
     reference = _science(reference_system, reference_campaign)
-    for backend in ("threads", "processes", "sharded"):
-        system, campaign, _wall = results[backend]
-        assert _science(system, campaign) == reference, (
-            f"the {backend} backend diverged from the simulated science"
-        )
-        assert campaign.schedule.backend == backend
-
-    _, sharded_campaign, _ = results["sharded"]
-    assert sharded_campaign.schedule.shards == SHARDS
-    assert sharded_campaign.schedule.n_workers == SHARDS
+    system, campaign, _wall = results["processes"]
+    assert _science(system, campaign) == reference, (
+        "the processes backend diverged from the simulated science"
+    )
+    assert campaign.schedule.backend == "processes"
     # Rounds >= 2 replay round one's builds from the cache.
     assert reference_campaign.cache_statistics.hit_rate > 0
 
     def _row(backend):
         _system, campaign, wall = results[backend]
-        schedule = campaign.schedule
         return {
             "backend": backend,
             "cells": campaign.n_cells,
             "tasks": len(campaign.dag),
             "wall_seconds": f"{wall:.3f}",
             "cells_per_second": f"{campaign.n_cells / wall:.1f}",
-            "slots": schedule.total_slots,
-            "shards": schedule.shards or "-",
+            "slots": campaign.schedule.total_slots,
         }
 
     emit(
         "Backend-scaling",
         f"1000-cell campaign (5 configurations x {ROUNDS} rounds): "
-        "simulated vs threads vs processes vs sharded",
-        [_row(backend) for backend in ("simulated", "threads", "processes", "sharded")],
+        "simulated vs processes",
+        [_row(backend) for backend in BACKENDS],
         notes=(
             "run documents, catalogue records, history events (modulo the "
             "recorded backend name) and cache statistics are bit-identical "
-            "across all four backends; the sharded run partitioned "
-            f"{sharded_campaign.n_cells} cells over {SHARDS} shard "
-            "processes and merged their build-cache journals back into the "
-            "parent cache"
+            "between the simulated timeline model and the process-pool "
+            "executor"
         ),
     )

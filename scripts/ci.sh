@@ -3,7 +3,7 @@
 #
 # Mirrors the staged check layout of the pyhc-actions compliance tooling:
 # cheap structural audits first, then the tier-1 suite, then the targeted
-# backend-parity shard, then the bench-trend gate and the headless example
+# backend-parity stage, then the bench-trend gate and the headless example
 # smoke runs.  Stages:
 #
 #   1. bench marker audit — every test below benchmarks/ must carry the
@@ -13,8 +13,8 @@
 #      owned by the ValidationHistoryLedger: a raw put() into it would
 #      bypass the journal's idempotence and index bookkeeping, so no
 #      module outside src/repro/history/ may write the namespace literal.
-#   3. scheduler monotonic-clock audit — the wall-clock backends time
-#      their dispatch with time.monotonic(); a time.time() call in
+#   3. scheduler monotonic-clock audit — the process backend times its
+#      dispatch with time.monotonic(); a time.time() call in
 #      src/repro/scheduler/ would make schedules jump with NTP
 #      adjustments, so the wall clock is banned there outright.
 #   4. lifecycle-purity audit — automated intervention tickets and history
@@ -38,10 +38,10 @@
 #   7. tier-1 — the documented fast suite (ROADMAP.md):
 #      pytest -x -q -m "not bench"
 #   8. backend parity — the determinism suite re-run with an explicit
-#      backend shard (REPRO_PARITY_BACKENDS=simulated,threads,processes):
-#      pins that the process-pool backend, whose builds cross a pickle
-#      boundary, stays bit-identical even when CI trims the default
-#      all-backend matrix.
+#      backend list (REPRO_PARITY_BACKENDS=simulated,processes): pins that
+#      the env knob itself works and that the process-pool backend, whose
+#      builds cross a pickle boundary, stays bit-identical to the
+#      simulated timeline model.
 #   9. bench-trends gate — `repro bench-trends check` compares the latest
 #      recorded benchmark trend point of every series against the
 #      trailing median and fails on a regression past the threshold
@@ -157,11 +157,11 @@ echo "ok: telemetry runs on monotonic clocks, the science layers stay instrument
 echo "== stage 7/10: tier-1 test suite =="
 python -m pytest -x -q -m "not bench"
 
-echo "== stage 8/10: backend parity (explicit shard) =="
+echo "== stage 8/10: backend parity (explicit backend list) =="
 # The tier-1 run above already covers the default all-backend matrix; this
-# shard pins that the env knob itself works and that the pickle-crossing
-# process backend passes in isolation from the sharded one.
-REPRO_PARITY_BACKENDS=simulated,threads,processes \
+# stage pins that the env knob itself works and that the pickle-crossing
+# process backend matches the simulated one when named explicitly.
+REPRO_PARITY_BACKENDS=simulated,processes \
     python -m pytest -q tests/test_scheduler_determinism.py \
     -k "BackendParity or HistoryRecordingBitIdentity"
 

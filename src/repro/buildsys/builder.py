@@ -380,9 +380,9 @@ def build_result_digest(result: BuildResult) -> str:
 class BuildTask:
     """One re-executable package build — the unit of real backend work.
 
-    Extracted from the builder/cache pair so an execution backend that runs
-    on real OS threads can perform genuine compilations instead of replaying
-    recorded documents: a task carries everything
+    Extracted from the builder/cache pair so the process execution backend
+    can perform genuine compilations in child processes instead of
+    replaying recorded documents: a task carries everything
     :meth:`PackageBuilder.build_package` needs, and because that method is a
     pure function of (package content, configuration), concurrent execution
     cannot change the campaign's scientific output.
@@ -414,9 +414,6 @@ class BuildTask:
                     f"result ({digest} != {self.expected_digest})"
                 )
         return result
-
-    def __call__(self) -> BuildResult:
-        return self.run()
 
 
 _WARNING_KINDS = (

@@ -8,7 +8,7 @@ end so the framework can be driven without writing Python::
     python -m repro.cli validate --experiment H1 --configuration SL6_64bit_gcc4.4
     python -m repro.cli campaign --scale 0.15 --output /tmp/sp-storage
     python -m repro.cli campaign --workers 4 --policy critical-path --output /tmp/sp-storage
-    python -m repro.cli campaign --workers 4 --backend threads
+    python -m repro.cli campaign --workers 4 --backend processes
     python -m repro.cli campaign --spec my-campaign.json --cache-budget-mb 16
     python -m repro.cli campaign --no-cache
     python -m repro.cli cache-stats --cache-dir /tmp/sp-storage
@@ -179,27 +179,12 @@ def build_parser() -> argparse.ArgumentParser:
                           help="worker-pool scheduling policy (default fifo)")
     campaign.add_argument("--backend", default="simulated",
                           choices=sorted(EXECUTION_BACKENDS),
-                          help="execution backend: 'simulated' replays the "
-                               "deterministic pool simulation, 'threads' really "
-                               "dispatches the campaign DAG on a wall-clock "
-                               "thread pool, 'processes' dispatches the same DAG "
-                               "but runs every (picklable) build task in a child "
-                               "process outside the GIL, 'sharded' partitions "
-                               "the campaign's cells across worker processes "
-                               "that each journal into a private storage "
-                               "directory, merged back on completion "
-                               "(default simulated)")
-    campaign.add_argument("--shards", type=_positive_int, default=None,
-                          help="shard count for the sharded backend (implies "
-                               "--backend sharded): cells are partitioned "
-                               "across this many worker processes, each "
-                               "persisting its build results as append-only "
-                               "journal segments in a private directory; the "
-                               "shards are merged on completion by replaying "
-                               "their journals into the parent build cache — "
-                               "idempotent by content-addressed key, so the "
-                               "merged output stays bit-identical to the "
-                               "simulated backend")
+                          help="execution backend: 'simulated' models the "
+                               "campaign timeline with the deterministic pool "
+                               "simulation, 'processes' really dispatches the "
+                               "campaign DAG on a wall-clock pool of child "
+                               "processes, re-compiling every build task "
+                               "outside the GIL (default simulated)")
     campaign.add_argument("--spec", default=None, metavar="FILE",
                           help="submit the CampaignSpec JSON document in FILE "
                                "instead of building one from the flags above "
@@ -617,14 +602,6 @@ def _cmd_campaign(arguments: argparse.Namespace) -> int:
     if arguments.no_cache:
         # Folded into the spec for the same replayability reason.
         spec = CampaignSpec.from_dict(dict(spec.to_dict(), use_cache=False))
-    if arguments.shards is not None:
-        # Folded into the spec (winning over a --spec file's own value); a
-        # spec still on the default "simulated" backend switches to the
-        # sharded backend, an explicit incompatible --backend is rejected by
-        # the spec validation on submit.
-        spec = CampaignSpec.from_dict(
-            dict(spec.to_dict(), shards=arguments.shards)
-        )
     if arguments.record_history:
         if not arguments.output:
             # Like --cache-budget-mb: the ledger exists for longitudinal

@@ -517,7 +517,6 @@ class SPSystem:
             backend=spec.backend,
             cache_budget_bytes=spec.cache_budget_bytes,
             use_cache=spec.use_cache,
-            shards=spec.shards,
             lifecycle=self.lifecycle,
         )
         requests = (

@@ -13,8 +13,8 @@ from repro.scheduler.backends import (
     EXECUTION_BACKENDS,
     ExecutionBackend,
     ExecutionRequest,
+    ProcessPoolBackend,
     SimulatedBackend,
-    ThreadPoolBackend,
     execution_backend,
 )
 from repro.scheduler.cache import (
@@ -45,7 +45,7 @@ __all__ = [
     "ExecutionBackend",
     "ExecutionRequest",
     "SimulatedBackend",
-    "ThreadPoolBackend",
+    "ProcessPoolBackend",
     "execution_backend",
     "DEFAULT_BATCH_SIZE",
     "CampaignSpec",

@@ -31,8 +31,9 @@ and cell-category spans.  A failing cell is named in a
 :class:`~repro._common.SchedulingError`; the cells before it stay recorded
 and the cells compiled after it are undone.  The backend changes the
 campaign's wall-clock story (makespan, utilisation, retries after worker
-failures — simulated or measured on real threads), never its scientific
-output.
+failures — simulated, or measured while the ``processes`` backend
+re-compiles the campaign's builds in child processes), never its
+scientific output.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from typing import (
     Union,
 )
 
-from repro._common import SchedulingError, chunked, stable_digest
+from repro._common import SchedulingError, chunked
 from repro.buildsys.builder import BuildTask, PackageBuilder, build_result_digest
 from repro.buildsys.graph import DependencyGraph
 from repro.core.cellpass import (
@@ -70,7 +71,6 @@ from repro.reporting.summary import render_campaign_report
 from repro.scheduler.backends import (
     ExecutionBackend,
     ExecutionRequest,
-    TaskPayload,
     execution_backend,
 )
 from repro.scheduler.cache import (
@@ -135,11 +135,9 @@ class CampaignResult:
     #: The spec the campaign was submitted with (None for direct scheduler use).
     spec: Optional[CampaignSpec] = None
     #: Task ID -> the re-executable :class:`~repro.buildsys.builder.BuildTask`
-    #: the backend was handed for that build task.  Only the build tasks are
-    #: retained (they are small, and the parity tests inspect their ``runs``
-    #: counters); the per-task verification closures are dropped after
-    #: execution instead of living as long as the campaign result.
-    payloads: Dict[str, TaskPayload] = field(default_factory=dict, repr=False)
+    #: the backend was handed for that build task (the parity tests inspect
+    #: their ``runs`` counters).
+    payloads: Dict[str, BuildTask] = field(default_factory=dict, repr=False)
 
     @property
     def n_cells(self) -> int:
@@ -192,7 +190,6 @@ class CampaignScheduler:
         backend: Union[str, ExecutionBackend, None] = None,
         cache_budget_bytes: Optional[int] = None,
         use_cache: bool = True,
-        shards: Optional[int] = None,
         lifecycle: Optional[PluginRegistry] = None,
         campaign_id: Optional[str] = None,
     ) -> None:
@@ -200,8 +197,6 @@ class CampaignScheduler:
             raise SchedulingError("a campaign needs at least one worker")
         if batch_size < 1:
             raise SchedulingError("standalone test batches need at least one slot")
-        if shards is not None and shards < 1:
-            raise SchedulingError("a sharded campaign needs at least one shard")
         if cache_budget_bytes is not None and cache_budget_bytes < 0:
             raise SchedulingError("a cache size budget cannot be negative")
         if cache_budget_bytes is not None and not use_cache:
@@ -222,8 +217,6 @@ class CampaignScheduler:
         self.cache_budget_bytes = cache_budget_bytes
         #: ``False`` runs the cold path: no cache layered over the builder.
         self.use_cache = use_cache
-        #: Shard count handed to the sharded backend (None = worker count).
-        self.shards = shards
         #: Lifecycle event bus (None = no events emitted, the direct
         #: scheduler-use path) and the campaign ID events are tagged with.
         self.lifecycle = lifecycle
@@ -349,13 +342,8 @@ class CampaignScheduler:
                     policy=self.policy,
                     deadline_seconds=self.deadline_seconds,
                     payloads=payloads,
-                    shards=self.shards,
                     lifecycle=self.lifecycle,
                     campaign_id=self.campaign_id,
-                    # The sharded backend replays its shards' journals into
-                    # the campaign's cache on completion; the merge is
-                    # idempotent, so handing it over is safe on every path.
-                    merge_cache=effective_cache if self.use_cache else None,
                     telemetry=self.telemetry,
                 )
             )
@@ -378,11 +366,7 @@ class CampaignScheduler:
             description=description,
             policy=self.policy.name,
             backend=self.backend.name,
-            payloads={
-                task_id: payload
-                for task_id, payload in payloads.items()
-                if isinstance(payload, BuildTask)
-            },
+            payloads=payloads,
         )
 
     def _caching_builder(self) -> CachingPackageBuilder:
@@ -591,19 +575,18 @@ class CampaignScheduler:
     # -- DAG derivation --------------------------------------------------------
     def _build_dag(
         self, cells: Sequence[CampaignCell], cache: Optional[BuildCache] = None
-    ) -> Tuple[CampaignDAG, Dict[str, TaskPayload]]:
+    ) -> Tuple[CampaignDAG, Dict[str, BuildTask]]:
         """Derive the campaign DAG, with task durations from the executed runs.
 
-        Alongside the DAG, every task gets a payload — the real work a
-        wall-clock backend executes on its threads.  Build tasks get a
-        re-executable :class:`~repro.buildsys.builder.BuildTask` (builds are
-        pure functions of the package content digest, so the concurrent
-        re-execution is race-free and digest-checked against the recorded
-        result); test and chain tasks get a read-only verification replay of
-        their recorded jobs.
+        Alongside the DAG, every build task whose compile job ran gets a
+        payload — a re-executable :class:`~repro.buildsys.builder.BuildTask`
+        the real executor runs in a child process (builds are pure functions
+        of the package content digest, so the concurrent re-execution is
+        race-free and digest-checked against the recorded result).  Test and
+        chain tasks carry no payload.
         """
         dag = CampaignDAG()
-        payloads: Dict[str, TaskPayload] = {}
+        payloads: Dict[str, BuildTask] = {}
         build_builder = self._real_build_builder()
         # The build order depends on the experiment only; compute it once
         # instead of once per matrix cell.
@@ -626,12 +609,12 @@ class CampaignScheduler:
         return dag, payloads
 
     def _real_build_builder(self) -> Optional[PackageBuilder]:
-        """A builder safe to re-execute builds with on backend threads.
+        """A builder safe to re-execute builds with in child processes.
 
         Only a plain :class:`PackageBuilder` (possibly hiding under the
         caching wrapper) is known to be a stateless pure function; a custom
         builder subclass (e.g. a stateful fault injector) returns None and
-        the build tasks fall back to verification replays.
+        its build tasks carry no payload.
         """
         builder = self._unwrap_builder(self.system.runner.builder)
         if type(builder) is PackageBuilder:
@@ -641,7 +624,7 @@ class CampaignScheduler:
     def _add_cell_tasks(
         self,
         dag: CampaignDAG,
-        payloads: Dict[str, TaskPayload],
+        payloads: Dict[str, BuildTask],
         cell: CampaignCell,
         experiment: ExperimentDefinition,
         build_order: Sequence[str],
@@ -685,10 +668,6 @@ class CampaignScheduler:
                     builder=build_builder,
                     expected_digest=expected,
                 )
-            else:
-                payloads[task_id] = self._verification_payload(
-                    run, [f"compile-{name}"]
-                )
             build_ids[name] = task_id
         # Tests start once the cell's compilation phase is complete, exactly
         # as the validation runner sequences its phases.
@@ -711,9 +690,6 @@ class CampaignScheduler:
                     n_tests=len(batch),
                 )
             )
-            payloads[task_id] = self._verification_payload(
-                run, [test.name for test in batch]
-            )
         for chain in experiment.chains:
             previous: Optional[str] = None
             for step in chain.steps:
@@ -729,39 +705,7 @@ class CampaignScheduler:
                         dependencies=(previous,) if previous is not None else all_builds,
                     )
                 )
-                payloads[task_id] = self._verification_payload(run, [step.name])
                 previous = task_id
-
-    def _verification_payload(
-        self, run: ValidationRun, job_names: Sequence[str]
-    ) -> TaskPayload:
-        """Real (read-only) work for one task on a wall-clock backend.
-
-        The payload replays the task's slice of the recorded cell: every job
-        document is re-serialised and content-hashed, and the job's stored
-        output document is re-read from the common storage.  Touching only
-        immutable recorded state keeps the concurrent execution free of
-        races — and of any way to change the scientific output.
-        """
-        storage = self.system.storage
-        telemetry = self.telemetry
-
-        def verify() -> str:
-            # Runs on backend worker threads; the span lands in the
-            # "dispatch" category, outside the parity contract.
-            with telemetry.tracer.span(
-                "verification", category="dispatch", jobs=len(job_names)
-            ):
-                digests = []
-                for name in job_names:
-                    job = run.job_for(name)
-                    document = job.to_document()
-                    if job.output_key and storage.exists("results", job.output_key):
-                        storage.get("results", job.output_key)
-                    digests.append(stable_digest(document))
-                return stable_digest(digests)
-
-        return verify
 
 
 class _CellPool:

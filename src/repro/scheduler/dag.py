@@ -102,7 +102,7 @@ class CampaignDAG:
 
         By default the chain is measured in the tasks' own (simulated)
         durations; *durations* substitutes another per-task duration source
-        — e.g. wall-clock seconds measured by the thread backend.
+        — e.g. wall-clock seconds measured by the process backend.
         """
         finish: Dict[str, float] = {}
         longest = 0.0

@@ -196,14 +196,8 @@ class PoolSchedule:
     deadline_seconds: Optional[float] = None
     cell_end_seconds: Dict[int, float] = field(default_factory=dict)
     #: Execution backend that produced the timeline ("simulated" timestamps
-    #: from the event simulation, "threads"/"processes"/"sharded" measured
-    #: wall-clock seconds).
+    #: from the event simulation, "processes" measured wall-clock seconds).
     backend: str = "simulated"
-    #: Shard count of a sharded campaign (0 for unsharded backends).  On the
-    #: sharded backend every shard is one worker process running its cells'
-    #: builds sequentially, so ``n_workers`` equals the shard count and
-    #: ``slots_per_worker`` is 1.
-    shards: int = 0
 
     @property
     def total_slots(self) -> int:

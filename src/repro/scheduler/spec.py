@@ -112,15 +112,6 @@ class CampaignSpec:
     deadline_seconds: Optional[float] = None
     #: Execution backend name from the backend registry.
     backend: str = "simulated"
-    #: Shard count for the sharded backend: the campaign's cells are
-    #: partitioned across this many worker processes, each persisting its
-    #: build results as journal segments into a private storage directory,
-    #: merged back into the parent cache on completion.  Setting ``shards``
-    #: while leaving ``backend`` at its "simulated" default selects the
-    #: sharded backend; an explicit non-sharded backend combined with
-    #: ``shards`` is rejected by :meth:`validate`.  ``None`` on the sharded
-    #: backend defaults the shard count to ``workers``.
-    shards: Optional[int] = None
     #: Injected worker failures (simulated backend only).
     failures: Tuple[WorkerFailure, ...] = ()
     #: Restore a persisted build-cache journal before the first campaign.
@@ -176,11 +167,6 @@ class CampaignSpec:
             # A bare string would explode into per-character "plugins" via
             # tuple(); leave it for _check_types to reject with a clear error.
             object.__setattr__(self, "plugins", tuple(self.plugins))
-        # ``shards=N`` alone is the ergonomic spelling of the sharded
-        # backend; the normalisation happens here so the serialised spec
-        # (and therefore every replay) records backend="sharded" explicitly.
-        if self.shards is not None and self.backend == "simulated":
-            object.__setattr__(self, "backend", "sharded")
 
     # -- validation -----------------------------------------------------------
     def _check_types(self) -> None:
@@ -202,7 +188,7 @@ class CampaignSpec:
         for name in ("workers", "rounds", "batch_size"):
             if not is_int(getattr(self, name)):
                 fail(name, "an integer")
-        for name in ("slots_per_worker", "cache_budget_bytes", "shards"):
+        for name in ("slots_per_worker", "cache_budget_bytes"):
             value = getattr(self, name)
             if value is not None and not is_int(value):
                 fail(name, "an integer or null")
@@ -261,13 +247,6 @@ class CampaignSpec:
             )
         if self.slots_per_worker is not None and self.slots_per_worker < 1:
             raise SchedulingError("slots per worker must be positive")
-        if self.shards is not None and self.shards < 1:
-            raise SchedulingError("a sharded campaign needs at least one shard")
-        if self.shards is not None and self.backend != "sharded":
-            raise SchedulingError(
-                "campaign spec field 'shards' requires the 'sharded' "
-                f"backend, not {self.backend!r}"
-            )
         if self.deadline_seconds is not None and self.deadline_seconds <= 0:
             raise SchedulingError("a campaign deadline must be positive")
         if self.on_deadline not in ON_DEADLINE_MODES:
@@ -345,7 +324,6 @@ class CampaignSpec:
             "policy": self.policy,
             "deadline_seconds": self.deadline_seconds,
             "backend": self.backend,
-            "shards": self.shards,
             "failures": [
                 [failure.worker_index, failure.at_seconds]
                 for failure in self.failures
@@ -366,19 +344,26 @@ class CampaignSpec:
 
         Unknown keys are rejected (a typo in a hand-written spec file must
         not silently fall back to a default), missing keys take the
-        dataclass defaults.
+        dataclass defaults.  Documents written before the sharded backend
+        was removed carry ``"shards": null``; that key is dropped, while a
+        shard count is rejected.
         """
         if not isinstance(payload, dict):
             raise SchedulingError(
                 f"a campaign spec document must be a mapping, got {payload!r}"
             )
+        kwargs: Dict[str, object] = dict(payload)
+        if kwargs.pop("shards", None) is not None:
+            raise SchedulingError(
+                "campaign spec field 'shards' is no longer supported: the "
+                "sharded backend was removed (use backend 'processes')"
+            )
         known = {name for name in cls.__dataclass_fields__}
-        unknown = sorted(set(payload) - known)
+        unknown = sorted(set(kwargs) - known)
         if unknown:
             raise SchedulingError(
                 "unknown campaign spec field(s): " + ", ".join(unknown)
             )
-        kwargs: Dict[str, object] = dict(payload)
         if kwargs.get("requests") is not None:
             requests = kwargs["requests"]
             if isinstance(requests, str) or not hasattr(requests, "__iter__"):

@@ -227,16 +227,40 @@ class TestCommandLineInterface:
 
     def test_campaign_backend_flag(self, capsys):
         assert cli_main([
-            "campaign", "--scale", "0.1", "--backend", "threads", "--workers", "2",
+            "campaign", "--scale", "0.1", "--backend", "processes", "--workers", "2",
         ]) == 0
         output = capsys.readouterr().out
-        assert "'threads' backend" in output
+        assert "'processes' backend" in output
         assert "execution backend" in output
 
     def test_campaign_rejects_unknown_backend(self, capsys):
         with pytest.raises(SystemExit):
             cli_main(["campaign", "--backend", "mpi"])
         assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("backend", ["threads", "sharded"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["campaign"],
+            ["metrics"],
+            ["submit-async", "--storage-dir", "unused", "--tenant", "alice"],
+        ],
+        ids=["campaign", "metrics", "submit-async"],
+    )
+    def test_removed_backends_are_invalid_choices(self, command, backend, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main([*command, "--backend", backend])
+        assert excinfo.value.code == 2
+        error = capsys.readouterr().err
+        assert "invalid choice" in error
+        assert "processes" in error and "simulated" in error
+
+    def test_campaign_rejects_the_removed_shards_flag(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["campaign", "--shards", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --shards" in capsys.readouterr().err
 
     def test_campaign_spec_file(self, tmp_path, capsys):
         import json

@@ -7,8 +7,7 @@ the binding constraint — inflating ``total_slots`` and
 memory-bound profile.  Every backend must now report the *effective* slot
 count, ``min(cpu, memory, disk)`` in task units.  Second, a failing payload
 used to abort the campaign with an anonymous :class:`SchedulingError`; the
-wall-clock backends must name the failing task and cancel still-queued
-work.
+process backend must name the failing task and cancel still-queued work.
 """
 
 import pytest
@@ -22,8 +21,6 @@ from repro.scheduler.backends import (
     EXECUTION_BACKENDS,
     ExecutionRequest,
     ProcessPoolBackend,
-    ShardedBackend,
-    ThreadPoolBackend,
     execution_backend,
 )
 from repro.scheduler.campaign import CampaignScheduler
@@ -104,7 +101,7 @@ class TestSlotReportingRegression:
         )
         return scheduler.run(["HERMES"], KEYS)
 
-    @pytest.mark.parametrize("backend", ["simulated", "threads", "processes"])
+    @pytest.mark.parametrize("backend", ["simulated", "processes"])
     def test_memory_bound_profile_reports_effective_slots(self, backend):
         schedule = self._memory_bound_campaign(backend).schedule
         # min(4 cores, 2 GB / 1 GB, 100 GB / 5 GB) = 2, not cpu_cores = 4.
@@ -112,7 +109,7 @@ class TestSlotReportingRegression:
         assert schedule.total_slots == 4
         assert schedule.backend == backend
 
-    @pytest.mark.parametrize("backend", ["simulated", "threads", "processes"])
+    @pytest.mark.parametrize("backend", ["simulated", "processes"])
     def test_memory_bound_utilisation_is_a_fraction(self, backend):
         """The inflated denominator used to push utilisation far below 1."""
         schedule = self._memory_bound_campaign(backend).schedule
@@ -126,16 +123,6 @@ class TestSlotReportingRegression:
         schedule = pool.execute(_tiny_dag())
         assert schedule.slots_per_worker == 2
         assert schedule.total_slots == 4
-
-    def test_sharded_backend_reports_one_slot_per_shard(self):
-        system = _fresh_system()
-        scheduler = CampaignScheduler(
-            system, workers=2, backend="sharded", shards=2
-        )
-        schedule = scheduler.run(["HERMES"], KEYS).schedule
-        assert schedule.n_workers == 2
-        assert schedule.slots_per_worker == 1
-        assert schedule.shards == 2
 
     def test_oversubscribed_spec_slots_are_capped_by_memory(self):
         """A spec asking for 8 slots gets the memory-capped effective count.
@@ -159,96 +146,57 @@ class TestSlotReportingRegression:
 
 
 class TestFailureContract:
-    """A failing payload names its task and cancels still-queued work."""
+    """A diverging build names its task and cancels still-queued work."""
 
-    def _failing_request(self):
-        def boom():
-            raise ValueError("injected payload failure")
-
+    @staticmethod
+    def _diverging_request(sp_system, tiny_hermes, workers=1):
+        """The tiny DAG whose build task reproduces the wrong digest."""
+        sp_system.register_experiment(tiny_hermes)
+        bad = BuildTask(
+            package=tiny_hermes.inventory.all()[0],
+            configuration=sp_system.configuration(KEYS[0]),
+            builder=PackageBuilder(),
+            expected_digest="not-the-digest",
+        )
         return ExecutionRequest(
             dag=_tiny_dag(),
-            workers=1,
-            payloads={"c0000:build:alpha": boom},
+            workers=workers,
+            payloads={"c0000:build:alpha": bad},
         )
 
-    @pytest.mark.parametrize("backend_name", ["threads", "processes"])
-    def test_pool_backend_failure_names_the_task(self, backend_name):
+    @pytest.mark.parametrize("backend_name", ["processes"])
+    def test_pool_backend_failure_names_the_task(
+        self, backend_name, sp_system, tiny_hermes
+    ):
         backend = execution_backend(backend_name)
         with pytest.raises(SchedulingError) as error:
-            backend.execute(self._failing_request())
+            backend.execute(self._diverging_request(sp_system, tiny_hermes))
         message = str(error.value)
         assert "c0000:build:alpha" in message
         assert backend_name in message
         assert "still-queued tasks were cancelled" in message
-        assert "injected payload failure" in message
+        assert "diverged from the recorded result" in message
 
     def test_process_backend_names_task_of_diverging_child_build(
         self, sp_system, tiny_hermes
     ):
         """A child-process digest mismatch surfaces with the task's name."""
-        sp_system.register_experiment(tiny_hermes)
-        package = tiny_hermes.inventory.all()[0]
-        configuration = sp_system.configuration(KEYS[0])
-        bad = BuildTask(
-            package=package,
-            configuration=configuration,
-            builder=PackageBuilder(),
-            expected_digest="not-the-digest",
-        )
-        request = ExecutionRequest(
-            dag=_tiny_dag(),
-            workers=1,
-            payloads={"c0000:build:alpha": bad},
-        )
         with pytest.raises(SchedulingError) as error:
-            ProcessPoolBackend().execute(request)
+            ProcessPoolBackend().execute(
+                self._diverging_request(sp_system, tiny_hermes)
+            )
         message = str(error.value)
         assert "c0000:build:alpha" in message
         assert "BuildError" in message
 
-    def test_sharded_backend_names_task_of_failing_shard(
-        self, sp_system, tiny_hermes
-    ):
-        sp_system.register_experiment(tiny_hermes)
-        package = tiny_hermes.inventory.all()[0]
-        configuration = sp_system.configuration(KEYS[0])
-        bad = BuildTask(
-            package=package,
-            configuration=configuration,
-            builder=PackageBuilder(),
-            expected_digest="not-the-digest",
-        )
-        request = ExecutionRequest(
-            dag=_tiny_dag(),
-            workers=1,
-            shards=1,
-            payloads={"c0000:build:alpha": bad},
-        )
-        with pytest.raises(SchedulingError) as error:
-            ShardedBackend().execute(request)
-        message = str(error.value)
-        assert "c0000:build:alpha" in message
-        assert "shard" in message
+    def test_failed_build_is_not_counted_as_run(self, sp_system, tiny_hermes):
+        """The parent counts a build as run only once its digest checked out."""
+        request = self._diverging_request(sp_system, tiny_hermes, workers=2)
+        with pytest.raises(SchedulingError):
+            ProcessPoolBackend().execute(request)
+        assert request.payloads["c0000:build:alpha"].runs == 0
 
-    def test_sharded_backend_failing_verification_names_the_task(self):
-        def boom():
-            raise ValueError("injected replay failure")
-
-        request = ExecutionRequest(
-            dag=_tiny_dag(),
-            workers=1,
-            shards=1,
-            payloads={"c0000:standalone-batch:000": boom},
-        )
-        with pytest.raises(SchedulingError) as error:
-            ShardedBackend().execute(request)
-        message = str(error.value)
-        assert "c0000:standalone-batch:000" in message
-        assert "injected replay failure" in message
-
-    @pytest.mark.parametrize(
-        "backend_name", ["threads", "processes", "sharded"]
-    )
+    @pytest.mark.parametrize("backend_name", ["processes"])
     def test_wall_clock_backends_reject_failure_injection(self, backend_name):
         from repro.scheduler.pool import WorkerFailure
 
@@ -260,13 +208,9 @@ class TestFailureContract:
         with pytest.raises(SchedulingError, match="simulated backend"):
             execution_backend(backend_name).execute(request)
 
-    def test_registry_knows_all_four_backends(self):
-        assert set(EXECUTION_BACKENDS) == {
-            "simulated",
-            "threads",
-            "processes",
-            "sharded",
-        }
-        assert isinstance(execution_backend("threads"), ThreadPoolBackend)
+    def test_registry_knows_both_backends(self):
+        assert set(EXECUTION_BACKENDS) == {"simulated", "processes"}
         assert isinstance(execution_backend("processes"), ProcessPoolBackend)
-        assert isinstance(execution_backend("sharded"), ShardedBackend)
+        for removed in ("threads", "sharded"):
+            with pytest.raises(SchedulingError, match="known: processes, simulated"):
+                execution_backend(removed)

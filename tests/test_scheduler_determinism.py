@@ -48,13 +48,13 @@ def _sequential_baseline(seed, keys, rounds=1):
 
 KEYS = ["SL5_64bit_gcc4.4", "SL6_64bit_gcc4.4"]
 
-#: The backends the parity suite runs against.  CI shards the matrix by
-#: exporting REPRO_PARITY_BACKENDS (e.g. "simulated,threads,processes");
-#: the default covers every registered backend.
+#: The backends the parity suite runs against.  CI pins the matrix by
+#: exporting REPRO_PARITY_BACKENDS (e.g. "simulated,processes"); the
+#: default covers every registered backend.
 PARITY_BACKENDS = tuple(
     entry.strip()
     for entry in os.environ.get(
-        "REPRO_PARITY_BACKENDS", "simulated,threads,processes,sharded"
+        "REPRO_PARITY_BACKENDS", "simulated,processes"
     ).split(",")
     if entry.strip()
 )
@@ -142,8 +142,8 @@ class TestSchedulerMatchesSequentialBaseline:
 class TestBackendParity:
     """The same spec yields bit-identical science on every backend.
 
-    The wall-clock backends (threads, processes, sharded) really execute
-    the campaign DAG, so their schedules carry measured timing —
+    The wall-clock ``processes`` backend really executes the campaign
+    DAG, so its schedules carry measured timing —
     nondeterministic by nature and therefore excluded from these
     comparisons by design.  The run documents and catalogue records,
     produced by the deterministic cell pass, must stay bit-identical to
@@ -178,8 +178,8 @@ class TestBackendParity:
         assert [
             record.to_dict() for record in executed_system.catalog.all()
         ] == expected_records
-        # The cache statistics are part of the invariant: the sharded merge
-        # must not inflate them.
+        # The cache statistics are part of the invariant: re-executing the
+        # builds must not inflate them.
         assert (
             executed.result().cache_statistics
             == simulated.result().cache_statistics
@@ -198,10 +198,9 @@ class TestBackendParity:
 
         Every build task whose compile job ran during the cell pass carries
         a re-executable :class:`BuildTask`; each executing backend runs it
-        for real — on a worker thread, in a pooled child process, or inside
-        its cell's shard — digest-checked against the recorded result,
-        while run documents stay bit-identical: builds are pure functions
-        of the content digest.
+        for real in a pooled child process, digest-checked against the
+        recorded result, while run documents stay bit-identical: builds are
+        pure functions of the content digest.
         """
         seed = 20131029
         baseline_system, baseline = _sequential_baseline(seed, KEYS)
@@ -423,10 +422,9 @@ class TestBackendParity:
     def test_build_task_pickle_round_trip(self, sp_system, tiny_hermes):
         """BuildTask crosses the process boundary: pickle must round-trip.
 
-        The process and sharded backends ship build tasks to child
-        interpreters; this pins the picklability contract directly so a
-        future unpicklable field fails here, not deep inside a pool
-        traceback.
+        The process backend ships build tasks to child interpreters; this
+        pins the picklability contract directly so a future unpicklable
+        field fails here, not deep inside a pool traceback.
         """
         from repro.buildsys.builder import PackageBuilder, build_result_digest
 
@@ -452,55 +450,6 @@ class TestBackendParity:
         assert build_result_digest(result) == task.expected_digest
         assert clone.runs == 1
         assert task.runs == 0
-
-    def test_shard_merge_with_shared_warm_start(self):
-        """Two shards warm-starting from one shared build cache stay exact.
-
-        The first sharded campaign populates the system's build cache via
-        the shard merge; the second campaign's cells all warm-start from
-        that shared cache, so every build task carries an expected digest
-        recorded by the *merged* shards — and the science plus the cache
-        statistics still match the simulated backend bit for bit.
-        """
-        sharded_spec = CampaignSpec(
-            configuration_keys=tuple(KEYS),
-            workers=2,
-            shards=2,
-            persist_spec=False,
-        )
-        assert sharded_spec.backend == "sharded"
-        simulated_spec = _campaign_spec("simulated", KEYS, workers=2)
-
-        reference_system = _fresh_system(20131029)
-        reference_first = reference_system.submit(simulated_spec).result()
-        reference_second = reference_system.submit(simulated_spec).result()
-
-        system = _fresh_system(20131029)
-        first = system.submit(sharded_spec).result()
-        second = system.submit(sharded_spec).result()
-
-        assert first.schedule.shards == 2
-        assert first.schedule.backend == "sharded"
-        assert first.schedule.slots_per_worker == 1
-        # The second campaign is served warm: its cells hit the cache the
-        # first campaign's shards merged into.
-        assert second.cache_statistics.hits > 0
-        warm_tasks = [
-            payload for payload in second.payloads.values()
-            if isinstance(payload, BuildTask)
-        ]
-        assert warm_tasks
-        assert all(task.expected_digest is not None for task in warm_tasks)
-        assert all(task.runs == 1 for task in warm_tasks)
-        # Science and cache accounting match the simulated pair exactly.
-        assert [run.to_document() for run in first.runs()] == [
-            run.to_document() for run in reference_first.runs()
-        ]
-        assert [run.to_document() for run in second.runs()] == [
-            run.to_document() for run in reference_second.runs()
-        ]
-        assert first.cache_statistics == reference_first.cache_statistics
-        assert second.cache_statistics == reference_second.cache_statistics
 
 
 class TestDocumentRoundTrip:

@@ -4,8 +4,8 @@ The bus decouples everything that *reacts* to a campaign (history
 ingestion, regression alerting, JSONL event logs, deadline aborts) from
 the scheduler that runs it.  These tests pin the registry semantics
 (ordering, scoping, sequence numbering), the observer-vs-policy contract,
-the backend-independent event stream, the deadline-abort behaviour on all
-four backends, and the full alerting story: an environment evolution flips
+the backend-independent event stream, the deadline-abort behaviour on
+both backends, and the full alerting story: an environment evolution flips
 a cell, the next campaign's ``regression_detected`` event opens a
 persisted intervention ticket naming the suspected evolution, and the CLI
 lists and resolves it.
@@ -49,7 +49,7 @@ from repro.scheduler.lifecycle import (
 from repro.scheduler.spec import CampaignSpec
 
 KEYS = ("SL5_64bit_gcc4.4", "SL6_64bit_gcc4.4")
-BACKENDS = ("simulated", "threads", "processes", "sharded")
+BACKENDS = ("simulated", "processes")
 
 #: The two cells of the alerting end-to-end story: ROOT 6.02 lands on the
 #: established SL5 platform (flipping the gcc 4.4 cell — HERMES uses the
@@ -173,7 +173,7 @@ class TestDeadlineAbortPolicy:
             name=EVENT_DEADLINE_EXCEEDED,
             sequence=1,
             payload={
-                "backend": "threads",
+                "backend": "processes",
                 "deadline_seconds": 1.5,
                 "elapsed_seconds": 2.5,
             },
@@ -189,7 +189,7 @@ class TestDeadlineAbortPolicy:
         reason = DeadlineAbortPolicy().should_stop(self._deadline_event(), None)
         assert "1.5" in reason
         assert "2.5" in reason
-        assert "threads" in reason
+        assert "processes" in reason
 
 
 class TestEventSinks:
@@ -280,7 +280,7 @@ class TestCampaignSpecLifecycleFields:
 
 
 class TestEventSequenceParity:
-    """All four backends emit the identical event stream.
+    """Both backends emit the identical event stream.
 
     ``cell_completed`` is emitted from the deterministic cell pass, not
     from the wall-clock dispatch, so its order is backend-independent by
@@ -353,9 +353,7 @@ class TestDeadlineAbortEndToEnd:
         "backend,deadline",
         [
             ("simulated", 1.0),
-            ("threads", 1e-9),
             ("processes", 1e-9),
-            ("sharded", 1e-9),
         ],
     )
     def test_abort_cancels_queued_cells_and_keeps_completed_science(

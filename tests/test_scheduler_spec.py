@@ -5,7 +5,7 @@ execution: it round-trips through ``to_dict``/``from_dict``, persists into
 the ``campaigns`` namespace of the common storage, and replays the identical
 campaign on a fresh installation.  The :class:`ExecutionBackend` registry
 decides how the derived DAG is dispatched — the deterministic pool
-simulation or a real wall-clock thread pool — without ever touching the
+simulation or a real wall-clock process pool — without ever touching the
 scientific output.
 """
 
@@ -18,8 +18,8 @@ from repro.experiments import build_hermes_experiment
 from repro.scheduler.backends import (
     EXECUTION_BACKENDS,
     ExecutionRequest,
+    ProcessPoolBackend,
     SimulatedBackend,
-    ThreadPoolBackend,
     execution_backend,
 )
 from repro.scheduler.dag import CampaignDAG, CampaignTask, TaskKind
@@ -132,7 +132,7 @@ class TestCampaignSpec:
                 "experiments": ("H1",),
             },
             {
-                "backend": "threads",
+                "backend": "processes",
                 "failures": (WorkerFailure(worker_index=0, at_seconds=1.0),),
             },
         ],
@@ -174,9 +174,9 @@ class TestBackendRegistry:
 
     def test_resolution(self):
         assert isinstance(execution_backend("simulated"), SimulatedBackend)
-        assert isinstance(execution_backend("threads"), ThreadPoolBackend)
+        assert isinstance(execution_backend("processes"), ProcessPoolBackend)
         assert isinstance(execution_backend(None), SimulatedBackend)
-        backend = ThreadPoolBackend()
+        backend = ProcessPoolBackend()
         assert execution_backend(backend) is backend
 
     def test_unknown_backend_rejected(self):
@@ -184,23 +184,17 @@ class TestBackendRegistry:
             execution_backend("mpi")
 
 
-class TestThreadPoolBackend:
+class TestProcessPoolBackend:
     def test_executes_every_task_and_honours_dependencies(self):
         dag = CampaignDAG()
         dag.add(_task("build-a", deps=()))
         dag.add(_task("build-b", deps=["build-a"]))
         dag.add(_task("test", deps=["build-b"]))
-        executed = []
-        payloads = {
-            task_id: (lambda task_id=task_id: executed.append(task_id))
-            for task_id in ("build-a", "build-b", "test")
-        }
-        schedule = ThreadPoolBackend().execute(
-            ExecutionRequest(dag=dag, workers=2, payloads=payloads)
-        )
-        assert sorted(executed) == ["build-a", "build-b", "test"]
-        assert schedule.backend == "threads"
+        # No payloads: every task dispatches as a no-op.
+        schedule = ProcessPoolBackend().execute(ExecutionRequest(dag=dag, workers=2))
+        assert schedule.backend == "processes"
         by_id = {a.task_id: a for a in schedule.assignments}
+        assert sorted(by_id) == ["build-a", "build-b", "test"]
         # Submission is gated on dependency completion, so measured starts
         # can never precede the dependency's measured end.
         assert by_id["build-b"].start_seconds >= by_id["build-a"].end_seconds
@@ -208,47 +202,55 @@ class TestThreadPoolBackend:
         assert schedule.makespan_seconds >= 0.0
         assert schedule.n_retries == 0
 
-    def test_independent_tasks_really_run_concurrently(self):
-        import threading
-
-        dag = CampaignDAG()
-        for index in range(4):
-            dag.add(_task(f"t{index}"))
-        barrier = threading.Barrier(4, timeout=10.0)
-        payloads = {f"t{index}": barrier.wait for index in range(4)}
-        # 2 workers x 2 slots = 4 concurrent threads: the barrier releases
-        # only if all four payloads genuinely overlap in time.
-        schedule = ThreadPoolBackend().execute(
-            ExecutionRequest(dag=dag, workers=2, payloads=payloads)
-        )
-        assert schedule.peak_concurrent_tasks == 4
-        assert len(schedule.assignments) == 4
-
     def test_empty_dag(self):
-        schedule = ThreadPoolBackend().execute(ExecutionRequest(dag=CampaignDAG()))
+        schedule = ProcessPoolBackend().execute(ExecutionRequest(dag=CampaignDAG()))
         assert schedule.assignments == []
         assert schedule.makespan_seconds == 0.0
 
     def test_failure_injection_rejected(self):
         with pytest.raises(SchedulingError):
-            ThreadPoolBackend().execute(
+            ProcessPoolBackend().execute(
                 ExecutionRequest(
                     dag=CampaignDAG(),
                     failures=(WorkerFailure(worker_index=0, at_seconds=1.0),),
                 )
             )
 
-    def test_payload_crash_surfaces_as_scheduling_error(self):
-        dag = CampaignDAG()
-        dag.add(_task("boom"))
 
-        def explode():
-            raise RuntimeError("payload crashed")
+class TestLegacySpecDocuments:
+    """Spec documents written while the sharded backend existed still load."""
 
-        with pytest.raises(SchedulingError, match="payload crashed"):
-            ThreadPoolBackend().execute(
-                ExecutionRequest(dag=dag, payloads={"boom": explode})
-            )
+    def test_null_shards_key_is_dropped(self):
+        spec = CampaignSpec(workers=2, backend="processes")
+        document = dict(spec.to_dict(), shards=None)
+        assert CampaignSpec.from_dict(document) == spec
+
+    def test_shard_count_is_rejected_naming_the_removed_backend(self):
+        document = dict(CampaignSpec().to_dict(), shards=2)
+        with pytest.raises(SchedulingError, match="sharded backend was removed"):
+            CampaignSpec.from_dict(document)
+
+    @pytest.mark.parametrize("shards", [0, 1, 8])
+    def test_any_shard_count_is_rejected(self, shards):
+        document = dict(CampaignSpec(backend="processes").to_dict(), shards=shards)
+        with pytest.raises(SchedulingError, match="sharded backend was removed"):
+            CampaignSpec.from_dict(document)
+
+    @pytest.mark.parametrize("backend", sorted(EXECUTION_BACKENDS))
+    def test_legacy_document_reserialises_without_the_key(self, backend):
+        spec = CampaignSpec(workers=3, backend=backend)
+        restored = CampaignSpec.from_dict(dict(spec.to_dict(), shards=None))
+        assert "shards" not in restored.to_dict()
+        assert restored.to_dict() == spec.to_dict()
+
+    @pytest.mark.parametrize("backend", ["threads", "sharded"])
+    def test_removed_backends_fail_validation(self, backend):
+        spec = CampaignSpec.from_dict(dict(CampaignSpec().to_dict(), backend=backend))
+        with pytest.raises(
+            SchedulingError,
+            match=rf"unknown execution backend '{backend}' \(known: processes, simulated\)",
+        ):
+            spec.validate()
 
 
 class TestSubmitFacade:

@@ -245,6 +245,59 @@ class TestServiceDurability:
         fresh = resumed.submit("alice", _cell_spec("ZEUS"))
         assert fresh.sequence == 4
 
+    def test_restart_runs_a_submission_persisted_with_a_null_shards_key(
+        self, tmp_path
+    ):
+        """Queued documents written while specs still had ``shards`` load."""
+        directory = str(tmp_path)
+        system = _fresh_system()
+        namespace = system.storage.create_namespace(SERVICE_NAMESPACE)
+        namespace.put(
+            f"{ValidationService.QUEUED_PREFIX}sub-000001",
+            {
+                "submission_id": "sub-000001",
+                "tenant": "alice",
+                "spec": {
+                    "experiments": ["ZEUS"],
+                    "configuration_keys": [KEY],
+                    "requests": None,
+                    "description": None,
+                    "workers": 1,
+                    "slots_per_worker": None,
+                    "rounds": 1,
+                    "batch_size": 4,
+                    "policy": "fifo",
+                    "deadline_seconds": None,
+                    "backend": "simulated",
+                    "shards": None,
+                    "failures": [],
+                    "warm_start": True,
+                    "use_cache": True,
+                    "cache_budget_bytes": None,
+                    "persist_spec": False,
+                    "record_history": None,
+                    "plugins": [],
+                    "on_deadline": "report",
+                    "event_log": None,
+                },
+                "priority": "normal",
+                "sequence": 1,
+                "status": "queued",
+                "campaign_id": None,
+                "error": None,
+                "cells": 0,
+            },
+        )
+        system.storage.persist(directory)
+
+        resumed = _quiet_service(_fresh_system(storage=CommonStorage.load(directory)))
+        assert resumed.queue.depth() == 1
+        [processed] = resumed.run_pending()
+        assert processed.submission_id == "sub-000001"
+        assert processed.status == "completed"
+        assert processed.cells == 1
+        assert "shards" not in processed.spec.to_dict()
+
     def test_storage_level_queue_inspection_and_cancel(self, tmp_path):
         directory = str(tmp_path)
         system = _fresh_system()

@@ -99,8 +99,8 @@ class TestCiScript:
         assert "src/repro/core/cellpass.py" in source
         # ... the bench-trend gate ...
         assert "bench-trends check" in source
-        # ... and the explicit backend-parity shard.
-        assert "REPRO_PARITY_BACKENDS=simulated,threads,processes" in source
+        # ... and the explicit backend-parity stage.
+        assert "REPRO_PARITY_BACKENDS=simulated,processes" in source
         assert "test_scheduler_determinism.py" in source
 
 
@@ -224,7 +224,7 @@ class TestLifecyclePurityAudit:
 class TestSchedulerMonotonicClockAudit:
     """src/repro/scheduler/ must time itself with time.monotonic() only.
 
-    The wall-clock backends report task offsets from a campaign-local
+    The process backend reports task offsets from a campaign-local
     origin; a ``time.time()`` call would tie those offsets to a clock NTP
     can step backwards, silently corrupting makespans and utilisation.
     ``scripts/ci.sh`` greps for the call; this test enforces the same rule
