@@ -19,6 +19,7 @@ import pytest
 
 from repro.core.spsystem import SPSystem
 from repro.reporting.summary import ValidationSummaryBuilder
+from repro.scheduler.spec import CampaignSpec
 
 from conftest import emit, emit_text
 
@@ -28,7 +29,7 @@ from conftest import emit, emit_text
 CAMPAIGN_ROUNDS = 21
 
 
-def run_campaign(experiments, rounds=CAMPAIGN_ROUNDS):
+def hera_campaign_runs(experiments, rounds=CAMPAIGN_ROUNDS):
     """Validate every experiment on every configuration *rounds* times."""
     system = SPSystem()
     system.provision_standard_images()
@@ -37,17 +38,18 @@ def run_campaign(experiments, rounds=CAMPAIGN_ROUNDS):
     runs = []
     for round_index in range(rounds):
         for experiment in experiments:
-            results = system.validate_everywhere(
-                experiment.name,
+            results = system.submit(CampaignSpec(
+                experiments=(experiment.name,),
                 description=f"{experiment.name} regular validation round {round_index:02d}",
-            )
+                persist_spec=False,
+            )).result().cycles_for(experiment.name)
             runs.extend(result.run for result in results)
     return system, runs
 
 
 def test_figure3_hera_validation_summary(benchmark, hera_experiments_small):
     system, runs = benchmark.pedantic(
-        run_campaign, args=(hera_experiments_small,), rounds=1, iterations=1
+        hera_campaign_runs, args=(hera_experiments_small,), rounds=1, iterations=1
     )
 
     # "In total more than 300 runs over sets of pre-defined tests have been

@@ -11,6 +11,7 @@ end so the framework can be driven without writing Python::
     python -m repro.cli campaign --workers 4 --backend processes
     python -m repro.cli campaign --spec my-campaign.json --cache-budget-mb 16
     python -m repro.cli campaign --no-cache
+    python -m repro.cli campaign --telemetry --output /tmp/sp-storage
     python -m repro.cli cache-stats --cache-dir /tmp/sp-storage
     python -m repro.cli campaign --record-history --output /tmp/sp-storage
     python -m repro.cli history trends --storage-dir /tmp/sp-storage
@@ -73,6 +74,7 @@ from repro.telemetry import (
     DEFAULT_THRESHOLD,
     DEFAULT_TRENDS_DIR,
     DEFAULT_WINDOW,
+    MetricsObserver,
     Telemetry,
     check_trends,
     prometheus_text,
@@ -239,8 +241,11 @@ def build_parser() -> argparse.ArgumentParser:
                                "registry + span tracer) to the run: prints "
                                "the per-phase timing table after the summary "
                                "and, with --output, stores the "
-                               "reports/telemetry.html page; science output "
-                               "is byte-identical either way")
+                               "reports/telemetry.html page, the Chrome "
+                               "trace reports/trace.json (load in Perfetto) "
+                               "and the Prometheus textfile "
+                               "reports/metrics.prom; science output is "
+                               "byte-identical either way")
     campaign.add_argument("--output", default=None)
     campaign.set_defaults(handler=_cmd_campaign)
 
@@ -402,36 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
                               metavar="SUBMISSION_ID")
     queue_cancel.set_defaults(handler=_cmd_queue_cancel)
 
-    metrics = subparsers.add_parser(
-        "metrics",
-        help="run one instrumented campaign and print its metrics in "
-             "Prometheus text exposition format",
-    )
-    metrics.add_argument("--scale", type=float, default=0.05)
-    metrics.add_argument("--workers", type=_positive_int, default=2)
-    metrics.add_argument("--rounds", type=_positive_int, default=1)
-    metrics.add_argument("--backend", default="simulated",
-                         choices=sorted(EXECUTION_BACKENDS))
-    metrics.set_defaults(handler=_cmd_metrics)
-
-    trace = subparsers.add_parser(
-        "trace",
-        help="run one instrumented campaign and export its span tree as "
-             "Chrome trace_event JSON (load in chrome://tracing or Perfetto)",
-    )
-    trace.add_argument("--out", required=True, metavar="TRACE_JSON",
-                       help="file the Chrome trace document is written to")
-    trace.add_argument("--scale", type=float, default=0.05)
-    trace.add_argument("--workers", type=_positive_int, default=2)
-    trace.add_argument("--rounds", type=_positive_int, default=1)
-    trace.add_argument("--backend", default="simulated",
-                       choices=sorted(EXECUTION_BACKENDS))
-    trace.add_argument("--output", default=None,
-                       help="also persist the storage (including the "
-                            "reports/telemetry.html timing page) below this "
-                            "directory")
-    trace.set_defaults(handler=_cmd_trace)
-
     bench_trends = subparsers.add_parser(
         "bench-trends",
         help="inspect or gate the recorded benchmark trend series",
@@ -563,6 +538,8 @@ def _load_spec_file(path: str) -> CampaignSpec:
 def _cmd_campaign(arguments: argparse.Namespace) -> int:
     telemetry = Telemetry.create() if arguments.telemetry else None
     system = _provisioned_system(arguments.scale, telemetry=telemetry)
+    if telemetry is not None:
+        system.lifecycle.add_observer(MetricsObserver(telemetry.metrics))
     cache_dir = arguments.cache_dir or arguments.output
     if arguments.spec:
         spec = _load_spec_file(arguments.spec)
@@ -584,47 +561,33 @@ def _cmd_campaign(arguments: argparse.Namespace) -> int:
             "--cache-budget-mb conflicts with --no-cache (or a spec file "
             "with \"use_cache\": false)"
         )
-    if arguments.cache_budget_mb is not None:
-        if not arguments.output:
-            # The budget also caps the persisted journal; without --output
-            # nothing is persisted, so honour the historical contract of
-            # requiring one instead of silently applying half the flag.
-            raise ReproError("--cache-budget-mb requires --output")
-        # Fold the override into the spec (winning over a --spec file's own
-        # budget) BEFORE submission: the persisted record must replay with
-        # the cache budget that was actually applied.
-        spec = CampaignSpec.from_dict(
-            dict(
-                spec.to_dict(),
-                cache_budget_bytes=int(arguments.cache_budget_mb * 1024 * 1024),
-            )
-        )
-    if arguments.no_cache:
-        # Folded into the spec for the same replayability reason.
-        spec = CampaignSpec.from_dict(dict(spec.to_dict(), use_cache=False))
-    if arguments.record_history:
-        if not arguments.output:
-            # Like --cache-budget-mb: the ledger exists for longitudinal
-            # queries over the *persisted* storage; without --output the
-            # recorded history would be silently discarded.
-            raise ReproError("--record-history requires --output")
-        # Folded into the spec (winning over a --spec file's own value), so
-        # the persisted record replays with history recording on.
-        spec = CampaignSpec.from_dict(dict(spec.to_dict(), record_history=True))
-    if arguments.on_deadline is not None:
-        # Folded into the spec (winning over a --spec file's own value), so
-        # the persisted record replays the same deadline semantics.
-        spec = CampaignSpec.from_dict(
-            dict(spec.to_dict(), on_deadline=arguments.on_deadline)
-        )
-    if arguments.event_log is not None:
-        spec = CampaignSpec.from_dict(
-            dict(spec.to_dict(), event_log=arguments.event_log)
-        )
-    if arguments.plugin:
-        spec = CampaignSpec.from_dict(
-            dict(spec.to_dict(), plugins=list(arguments.plugin))
-        )
+    if arguments.cache_budget_mb is not None and not arguments.output:
+        # The budget also caps the persisted journal; without --output
+        # nothing is persisted, so honour the historical contract of
+        # requiring one instead of silently applying half the flag.
+        raise ReproError("--cache-budget-mb requires --output")
+    if arguments.record_history and not arguments.output:
+        # Likewise: the ledger exists for longitudinal queries over the
+        # *persisted* storage; without --output it would be discarded.
+        raise ReproError("--record-history requires --output")
+    # The flags win over a --spec file's own values.  They are folded into
+    # the spec BEFORE submission, so the persisted record replays the
+    # campaign that actually ran.
+    overrides = {
+        "cache_budget_bytes": (
+            None if arguments.cache_budget_mb is None
+            else int(arguments.cache_budget_mb * 1024 * 1024)
+        ),
+        "use_cache": False if arguments.no_cache else None,
+        "record_history": True if arguments.record_history else None,
+        "on_deadline": arguments.on_deadline,
+        "event_log": arguments.event_log,
+        "plugins": list(arguments.plugin) if arguments.plugin else None,
+    }
+    spec = CampaignSpec.from_dict(dict(
+        spec.to_dict(),
+        **{key: value for key, value in overrides.items() if value is not None},
+    ))
     if arguments.cache_dir and not spec.use_cache:
         # An *explicit* --cache-dir (as opposed to the --output default)
         # would be a silent no-op without the cache layer; refuse it like
@@ -749,6 +712,12 @@ def _cmd_campaign(arguments: argparse.Namespace) -> int:
                 metric_rows=telemetry.metrics.summary_rows(),
                 span_count=len(telemetry.tracer.spans),
             )
+            # Persisted as reports/trace.json, which loads as-is in Perfetto.
+            system.storage.put(
+                StatusPageGenerator.NAMESPACE,
+                "trace",
+                telemetry.tracer.chrome_trace(),
+            )
         if history_on:
             ledger = system.history
             findings = RegressionDetector(ledger).findings()
@@ -773,7 +742,29 @@ def _cmd_campaign(arguments: argparse.Namespace) -> int:
         print(f"\npersisted {len(written)} documents below {arguments.output} "
               f"({appended_entries} new build-cache journal records for the "
               f"next campaign)")
+        if telemetry is not None:
+            _write_metrics_textfile(telemetry, arguments.output)
     return 0
+
+
+def _write_metrics_textfile(telemetry: Telemetry, output: str) -> None:
+    """Write the metrics as a Prometheus textfile below *output*/reports.
+
+    Textfile-collector text, not a storage document: ``CommonStorage.load``
+    reads only ``.json``/``.html`` files, so it ignores this one.
+    """
+    path = os.path.join(output, StatusPageGenerator.NAMESPACE, "metrics.prom")
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(prometheus_text(telemetry.metrics))
+    except OSError as error:
+        raise ReproError(f"cannot write metrics file {path!r}: {error}") from error
+    print(
+        f"telemetry: {StatusPageGenerator.NAMESPACE}/telemetry.html, "
+        f"{StatusPageGenerator.NAMESPACE}/trace.json (chrome://tracing or "
+        f"ui.perfetto.dev) and {StatusPageGenerator.NAMESPACE}/metrics.prom "
+        f"(Prometheus textfile)"
+    )
 
 
 def _cmd_cache_stats(arguments: argparse.Namespace) -> int:
@@ -1123,61 +1114,6 @@ def _phase_table(telemetry: Telemetry) -> str:
             in telemetry.tracer.phase_rows()
         ],
     )
-
-
-def _instrumented_campaign(
-    arguments: argparse.Namespace,
-) -> "tuple[SPSystem, Telemetry]":
-    """Run one campaign with a live telemetry bundle attached."""
-    from repro.telemetry import MetricsObserver
-
-    telemetry = Telemetry.create()
-    system = _provisioned_system(arguments.scale, telemetry=telemetry)
-    system.lifecycle.add_observer(MetricsObserver(telemetry.metrics))
-    spec = CampaignSpec(
-        workers=arguments.workers,
-        rounds=arguments.rounds,
-        backend=arguments.backend,
-    )
-    handle = system.submit(spec)
-    handle.result()
-    return system, telemetry
-
-
-def _cmd_metrics(arguments: argparse.Namespace) -> int:
-    system, telemetry = _instrumented_campaign(arguments)
-    print(prometheus_text(telemetry.metrics), end="")
-    return 0
-
-
-def _cmd_trace(arguments: argparse.Namespace) -> int:
-    system, telemetry = _instrumented_campaign(arguments)
-    document = telemetry.tracer.chrome_trace()
-    try:
-        with open(arguments.out, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-    except OSError as error:
-        raise ReproError(
-            f"cannot write trace file {arguments.out!r}: {error}"
-        ) from error
-    print(
-        f"wrote {len(document['traceEvents'])} trace event(s) to "
-        f"{arguments.out} (load in chrome://tracing or ui.perfetto.dev)"
-    )
-    print()
-    print(_phase_table(telemetry))
-    if arguments.output:
-        StatusPageGenerator(system.storage, system.catalog).telemetry_page(
-            telemetry.tracer.phase_rows(),
-            metric_rows=telemetry.metrics.summary_rows(),
-            span_count=len(telemetry.tracer.spans),
-        )
-        written = system.storage.persist(arguments.output)
-        print(
-            f"persisted {len(written)} documents below {arguments.output} "
-            "(timing page: reports/telemetry.html)"
-        )
-    return 0
 
 
 def _cmd_bench_trends_check(arguments: argparse.Namespace) -> int:

@@ -21,7 +21,6 @@ from repro.scheduler.cache import (
     BuildCache,
     CacheStatistics,
     CachingPackageBuilder,
-    build_cache_key,
     package_identity_digest,
 )
 from repro.scheduler.campaign import CampaignCell, CampaignResult, CampaignScheduler
@@ -53,7 +52,6 @@ __all__ = [
     "BuildCache",
     "CacheStatistics",
     "CachingPackageBuilder",
-    "build_cache_key",
     "package_identity_digest",
     "CampaignCell",
     "CampaignResult",

@@ -79,19 +79,6 @@ def _requirements_fingerprint(requirements: SoftwareRequirements) -> str:
     )
 
 
-def _target_fingerprint(configuration: EnvironmentConfiguration) -> str:
-    """Stable fingerprint of the build-relevant configuration state.
-
-    Deliberately finer-grained than ``configuration.key``: two
-    configurations sharing an OS/word-size/compiler label but differing in
-    installed externals (or a configuration whose compiler or OS release was
-    swapped in place) must not share cache entries.  The digest is the
-    shared :func:`~repro.environment.configuration.configuration_fingerprint`
-    — the same fingerprint the validation history ledger records per cell.
-    """
-    return configuration_fingerprint(configuration)
-
-
 def package_identity_digest(
     package: SoftwarePackage, configuration: EnvironmentConfiguration
 ) -> str:
@@ -132,7 +119,12 @@ def _package_identity_digest(
         package.version,
         package.source_digest,
         _requirements_fingerprint(package.requirements),
-        _target_fingerprint(configuration),
+        # Deliberately finer-grained than ``configuration.key``: two
+        # configurations sharing an OS/word-size/compiler label but differing
+        # in installed externals (or one whose compiler or OS release was
+        # swapped in place) must not share cache entries.  It is the same
+        # fingerprint the validation history ledger records per cell.
+        configuration_fingerprint(configuration),
     )
 
 
@@ -143,13 +135,6 @@ _IDENTITY_DIGESTS: Dict[
     Tuple[SoftwarePackage, EnvironmentConfiguration], str
 ] = {}
 _IDENTITY_DIGESTS_MAX = 65536
-
-
-def build_cache_key(
-    package: SoftwarePackage, configuration: EnvironmentConfiguration
-) -> str:
-    """Legacy name of :func:`package_identity_digest` (same digest)."""
-    return package_identity_digest(package, configuration)
 
 
 @dataclass
@@ -956,7 +941,6 @@ class CachingPackageBuilder(PackageBuilder):
 
 __all__ = [
     "package_identity_digest",
-    "build_cache_key",
     "CacheStatistics",
     "CacheCheckpoint",
     "BuildCache",

@@ -256,22 +256,6 @@ class CampaignScheduler:
             for key in keys
         ]
 
-    def run(
-        self,
-        experiment_names: Optional[Iterable[str]] = None,
-        configuration_keys: Optional[Iterable[str]] = None,
-        description: Optional[str] = None,
-        rounds: int = 1,
-        on_cell_complete: Optional[CellCallback] = None,
-    ) -> CampaignResult:
-        """Execute the cross-product campaign and return its result."""
-        return self.run_requests(
-            self.expand_matrix(experiment_names, configuration_keys),
-            description=description,
-            rounds=rounds,
-            on_cell_complete=on_cell_complete,
-        )
-
     def run_requests(
         self,
         requests: Sequence[ValidationRequest],

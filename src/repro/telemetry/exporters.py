@@ -1,8 +1,9 @@
 """Exporters: Prometheus text exposition for the metrics registry.
 
 The Prometheus text format is the lingua franca of scrape-based
-monitoring; ``repro metrics`` prints it so a node_exporter-style textfile
-collector (or a curl in a cron job) can ship the numbers without any new
+monitoring; ``repro campaign --telemetry --output DIR`` writes it to
+``DIR/reports/metrics.prom`` so a node_exporter-style textfile collector
+(or a curl in a cron job) can ship the numbers without any new
 dependency.  Counters gain a ``_total``-preserving name, histograms emit
 the conventional ``_bucket``/``_sum``/``_count`` triplet with an
 explicit ``+Inf`` bucket, and every name is prefixed ``repro_`` and

@@ -4,9 +4,9 @@ The lifecycle bus already carries everything worth counting — cells
 completing, campaigns finishing, submissions queueing, tenants being
 throttled, heartbeat snapshots of the whole daemon.  This observer is the
 bridge: it subscribes to all of it and folds each event into the shared
-:class:`~repro.telemetry.metrics.MetricsRegistry`, so ``repro metrics``
-and the service dashboard see live numbers without any subsystem pushing
-metrics itself.
+:class:`~repro.telemetry.metrics.MetricsRegistry`, so ``repro campaign
+--telemetry`` and the service dashboard see live numbers without any
+subsystem pushing metrics itself.
 
 Like every :class:`~repro.scheduler.lifecycle.LifecycleObserver` it is
 strictly read-only with respect to science: it never touches run

@@ -6,7 +6,8 @@ Finished spans accumulate on the tracer in completion order and can be
 exported two ways:
 
 * :func:`SpanTracer.chrome_trace` — Chrome ``trace_event`` JSON that
-  loads directly in ``about:tracing`` / Perfetto (``repro trace``).
+  loads directly in ``about:tracing`` / Perfetto (``repro campaign
+  --telemetry --output DIR`` stores it as ``DIR/reports/trace.json``).
 * :func:`SpanTracer.phase_rows` — per-phase timing aggregation (calls,
   cumulative seconds, *self* seconds with child time subtracted) feeding
   the campaign summary and the ``reports/telemetry.html`` status page.

@@ -6,6 +6,7 @@ from repro._common import ValidationError
 from repro.core.freeze import FreezeReason
 from repro.core.spsystem import SPSystem
 from repro.core.workflow import PreservationWorkflow, WorkflowPhase
+from repro.scheduler.spec import CampaignSpec
 from repro.storage.bookkeeping import EPOCH_2013
 
 
@@ -109,9 +110,11 @@ class TestSPSystem:
         assert recovery.successful
         assert sp_system.workflow.phase_of("ZEUS") is WorkflowPhase.REGULAR_VALIDATION
 
-    def test_validate_everywhere(self, sp_system, tiny_hermes):
+    def test_campaign_validates_every_configuration(self, sp_system, tiny_hermes):
         sp_system.register_experiment(tiny_hermes)
-        results = sp_system.validate_everywhere("HERMES")
+        results = sp_system.submit(
+            CampaignSpec(experiments=("HERMES",), persist_spec=False)
+        ).result().cycles_for("HERMES")
         assert len(results) == 5
         assert sp_system.total_runs() == 5
 

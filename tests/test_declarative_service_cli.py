@@ -243,10 +243,9 @@ class TestCommandLineInterface:
         "command",
         [
             ["campaign"],
-            ["metrics"],
             ["submit-async", "--storage-dir", "unused", "--tenant", "alice"],
         ],
-        ids=["campaign", "metrics", "submit-async"],
+        ids=["campaign", "submit-async"],
     )
     def test_removed_backends_are_invalid_choices(self, command, backend, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -278,6 +277,51 @@ class TestCommandLineInterface:
         assert cli_main(["campaign", "--scale", "0.1", "--spec", str(spec_path)]) == 0
         output = capsys.readouterr().out
         assert "submitted campaign-0001: 2/2 cells" in output
+
+    @pytest.mark.parametrize(
+        "field,file_value,flags,expected",
+        [
+            ("cache_budget_bytes", 5_000_000, ["--cache-budget-mb", "1"],
+             1024 * 1024),
+            ("use_cache", True, ["--no-cache"], False),
+            ("record_history", False, ["--record-history"], True),
+            ("on_deadline", "report", ["--on-deadline", "abort"], "abort"),
+            ("event_log", "file.jsonl", ["--event-log", "flag.jsonl"],
+             "flag.jsonl"),
+            ("plugins", [], ["--plugin", "regression-alerts",
+                             "--record-history"], ["regression-alerts"]),
+        ],
+        ids=["cache-budget", "no-cache", "record-history", "on-deadline",
+             "event-log", "plugin"],
+    )
+    def test_campaign_flag_wins_over_spec_file(
+        self, tmp_path, monkeypatch, capsys, field, file_value, flags, expected
+    ):
+        import json
+
+        from repro.scheduler.spec import CampaignSpec
+
+        monkeypatch.chdir(tmp_path)
+        document = CampaignSpec(
+            experiments=("HERMES",),
+            configuration_keys=("SL5_64bit_gcc4.4",),
+            deadline_seconds=1.0e6,
+        ).to_dict()
+        document[field] = file_value
+        spec_path = tmp_path / "campaign.json"
+        spec_path.write_text(json.dumps(document))
+        output_dir = tmp_path / "storage"
+        assert cli_main([
+            "campaign", "--scale", "0.02", "--spec", str(spec_path),
+            "--output", str(output_dir), *flags,
+        ]) == 0
+        capsys.readouterr()
+        # The persisted record carries the flag's value, so replaying it
+        # runs the campaign that actually ran.
+        record = json.loads(
+            (output_dir / "campaigns" / "spec_campaign-0001.json").read_text()
+        )
+        assert record["spec"][field] == expected
 
     def test_campaign_spec_file_errors(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"

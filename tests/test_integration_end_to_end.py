@@ -17,6 +17,7 @@ from repro.experiments import build_hera_experiments
 from repro.reporting.export import catalog_to_rows, rows_to_csv
 from repro.reporting.summary import ValidationSummaryBuilder
 from repro.reporting.webpages import StatusPageGenerator
+from repro.scheduler.spec import CampaignSpec
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +27,9 @@ def populated_system():
     system.provision_standard_images()
     for experiment in build_hera_experiments(scale=0.15):
         system.register_experiment(experiment)
-    results = system.validate_all_experiments()
+    results = system.submit(
+        CampaignSpec(persist_spec=False)
+    ).result().by_experiment()
     return system, results
 
 

@@ -24,6 +24,7 @@ from repro.core.testspec import (
     ValidationTestSpec,
 )
 from repro.scheduler.pool import WorkerFailure
+from repro.scheduler.spec import CampaignSpec
 
 
 def _minimal_inventory(name="FAULTEXP"):
@@ -246,12 +247,12 @@ class TestSchedulerFailureInjection:
         ]
 
         system = self._system(experiment)
-        campaign = system.run_campaign(
-            ["FAULTEXP"],
-            ["SL5_64bit_gcc4.4", "SL6_64bit_gcc4.4"],
+        campaign = system.submit(CampaignSpec(
+            experiments=("FAULTEXP",),
+            configuration_keys=("SL5_64bit_gcc4.4", "SL6_64bit_gcc4.4"),
             workers=2,
-            failures=[WorkerFailure(worker_index=0, at_seconds=50.0)],
-        )
+            failures=(WorkerFailure(worker_index=0, at_seconds=50.0),),
+        )).result()
         # The dead worker's in-flight tasks were retried on the survivor...
         assert campaign.schedule.failed_workers == (0,)
         assert campaign.schedule.n_retries > 0
@@ -267,9 +268,11 @@ class TestSchedulerFailureInjection:
 
     def test_chain_failure_statuses_survive_pooled_scheduling(self):
         system = self._system(self._broken_chain_experiment())
-        campaign = system.run_campaign(
-            ["FAULTEXP"], ["SL5_64bit_gcc4.4"], workers=4,
-        )
+        campaign = system.submit(CampaignSpec(
+            experiments=("FAULTEXP",),
+            configuration_keys=("SL5_64bit_gcc4.4",),
+            workers=4,
+        )).result()
         run = campaign.cells[0].run
         statuses = [run.job_for(f"fault-chain-{i:02d}-step").status for i in range(4)]
         assert statuses == [
@@ -286,24 +289,24 @@ class TestSchedulerFailureInjection:
     def test_all_workers_dead_raises_instead_of_deadlocking(self):
         system = self._system(self._broken_chain_experiment())
         with pytest.raises(SchedulingError, match="every worker"):
-            system.run_campaign(
-                ["FAULTEXP"],
-                ["SL5_64bit_gcc4.4"],
+            system.submit(CampaignSpec(
+                experiments=("FAULTEXP",),
+                configuration_keys=("SL5_64bit_gcc4.4",),
                 workers=2,
-                failures=[
+                failures=(
                     WorkerFailure(worker_index=0, at_seconds=10.0),
                     WorkerFailure(worker_index=1, at_seconds=20.0),
-                ],
-            )
+                ),
+            ))
 
     def test_late_failure_after_campaign_end_is_harmless(self):
         system = self._system(self._broken_chain_experiment())
-        campaign = system.run_campaign(
-            ["FAULTEXP"],
-            ["SL5_64bit_gcc4.4"],
+        campaign = system.submit(CampaignSpec(
+            experiments=("FAULTEXP",),
+            configuration_keys=("SL5_64bit_gcc4.4",),
             workers=2,
-            failures=[WorkerFailure(worker_index=0, at_seconds=10.0 ** 9)],
-        )
+            failures=(WorkerFailure(worker_index=0, at_seconds=10.0 ** 9),),
+        )).result()
         assert campaign.schedule.n_retries == 0
         assert campaign.schedule.failed_workers == ()
 
@@ -324,7 +327,11 @@ class TestSchedulerFailureInjection:
         )
         experiment = _experiment(standalone=[crashing, export_test])
         system = self._system(experiment)
-        campaign = system.run_campaign(["FAULTEXP"], [sl5_64_gcc44.key], workers=3)
+        campaign = system.submit(CampaignSpec(
+            experiments=("FAULTEXP",),
+            configuration_keys=(sl5_64_gcc44.key,),
+            workers=3,
+        )).result()
         run = campaign.cells[0].run
         assert run.job_for("crashing-test").status is JobStatus.FAILED
         assert run.job_for("healthy-test").status is JobStatus.PASSED

@@ -99,7 +99,7 @@ class TestSlotReportingRegression:
             worker_profile=MEMORY_BOUND_PROFILE,
             backend=backend,
         )
-        return scheduler.run(["HERMES"], KEYS)
+        return scheduler.run_requests(scheduler.expand_matrix(["HERMES"], KEYS))
 
     @pytest.mark.parametrize("backend", ["simulated", "processes"])
     def test_memory_bound_profile_reports_effective_slots(self, backend):

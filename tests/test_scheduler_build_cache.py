@@ -16,8 +16,9 @@ from repro.experiments.inventories import InventoryQuirks, build_inventory
 from repro.scheduler.cache import (
     BuildCache,
     CachingPackageBuilder,
-    build_cache_key,
+    package_identity_digest,
 )
+from repro.scheduler.spec import CampaignSpec
 from repro.storage.artifacts import ArtifactStore
 
 
@@ -42,9 +43,9 @@ def package(inventory):
 
 class TestCacheKey:
     def test_key_is_stable(self, package, sl5_64_gcc44):
-        assert build_cache_key(package, sl5_64_gcc44) == build_cache_key(
+        assert package_identity_digest(
             package, sl5_64_gcc44
-        )
+        ) == package_identity_digest(package, sl5_64_gcc44)
 
     def test_key_sensitive_to_compiler(self, package, standard_configurations):
         sl5_gcc41 = next(
@@ -53,16 +54,16 @@ class TestCacheKey:
         sl5_gcc44 = next(
             c for c in standard_configurations if c.key == "SL5_64bit_gcc4.4"
         )
-        assert build_cache_key(package, sl5_gcc41) != build_cache_key(
-            package, sl5_gcc44
-        )
+        assert package_identity_digest(
+            package, sl5_gcc41
+        ) != package_identity_digest(package, sl5_gcc44)
 
     def test_key_sensitive_to_operating_system(
         self, package, sl5_64_gcc44, sl6_64_gcc44
     ):
-        assert build_cache_key(package, sl5_64_gcc44) != build_cache_key(
-            package, sl6_64_gcc44
-        )
+        assert package_identity_digest(
+            package, sl5_64_gcc44
+        ) != package_identity_digest(package, sl6_64_gcc44)
 
     def test_key_sensitive_to_externals_with_same_configuration_key(
         self, package, sl5_64_gcc44
@@ -73,17 +74,17 @@ class TestCacheKey:
             ExternalSoftwareCatalog().get("ROOT", "5.32")
         )
         assert upgraded.key == sl5_64_gcc44.key
-        assert build_cache_key(package, upgraded) != build_cache_key(
-            package, sl5_64_gcc44
-        )
+        assert package_identity_digest(
+            package, upgraded
+        ) != package_identity_digest(package, sl5_64_gcc44)
 
     def test_key_sensitive_to_package_requirements(self, package, sl5_64_gcc44):
         from repro.environment.compatibility import SoftwareRequirements
 
         patched = package.with_requirements(SoftwareRequirements(max_strictness=3))
-        assert build_cache_key(patched, sl5_64_gcc44) != build_cache_key(
-            package, sl5_64_gcc44
-        )
+        assert package_identity_digest(
+            patched, sl5_64_gcc44
+        ) != package_identity_digest(package, sl5_64_gcc44)
 
 
 class TestHitMissAccounting:
@@ -192,9 +193,11 @@ class TestArtifactEviction:
 class TestSystemLevelCache:
     def test_campaign_hit_rate_across_rounds(self, sp_system, tiny_hermes):
         sp_system.register_experiment(tiny_hermes)
-        campaign = sp_system.run_campaign(
-            ["HERMES"], ["SL5_64bit_gcc4.4", "SL6_64bit_gcc4.4"], rounds=2
-        )
+        campaign = sp_system.submit(CampaignSpec(
+            experiments=("HERMES",),
+            configuration_keys=("SL5_64bit_gcc4.4", "SL6_64bit_gcc4.4"),
+            rounds=2,
+        )).result()
         statistics = campaign.cache_statistics
         # Round 1 misses everything, round 2 hits everything.
         assert statistics.hits == statistics.misses
@@ -203,9 +206,12 @@ class TestSystemLevelCache:
 
     def test_cache_persists_across_campaigns(self, sp_system, tiny_hermes):
         sp_system.register_experiment(tiny_hermes)
-        first = sp_system.run_campaign(["HERMES"], ["SL5_64bit_gcc4.4"])
+        spec = CampaignSpec(
+            experiments=("HERMES",), configuration_keys=("SL5_64bit_gcc4.4",)
+        )
+        first = sp_system.submit(spec).result()
         assert first.cache_statistics.hits == 0
-        second = sp_system.run_campaign(["HERMES"], ["SL5_64bit_gcc4.4"])
+        second = sp_system.submit(spec).result()
         assert second.cache_statistics.misses == 0
         assert second.cache_statistics.hits == first.cache_statistics.misses
 

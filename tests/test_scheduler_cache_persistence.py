@@ -19,11 +19,22 @@ from repro.core.spsystem import SPSystem
 from repro.experiments import build_hermes_experiment
 from repro.experiments.inventories import InventoryQuirks, build_inventory
 from repro.scheduler.cache import BuildCache, CacheStatistics
+from repro.scheduler.spec import CampaignSpec
 from repro.storage.artifacts import ArtifactStore
 from repro.storage.common_storage import CommonStorage
 
 
 CAMPAIGN_KEYS = ["SL5_64bit_gcc4.4", "SL6_64bit_gcc4.4"]
+
+
+def _hermes_spec(**options):
+    """HERMES on CAMPAIGN_KEYS; no spec record, so storage holds only runs."""
+    return CampaignSpec(
+        experiments=("HERMES",),
+        configuration_keys=tuple(CAMPAIGN_KEYS),
+        persist_spec=False,
+        **options,
+    )
 
 
 @pytest.fixture()
@@ -736,13 +747,13 @@ class TestSizeBudget:
 class TestWarmStartCampaigns:
     def test_second_installation_warm_starts_with_hits(self):
         cold = _fresh_system()
-        first = cold.run_campaign(["HERMES"], CAMPAIGN_KEYS, workers=2)
+        first = cold.submit(_hermes_spec(workers=2)).result()
         assert first.cache_statistics.hits == 0
         assert cold.persist_build_cache() > 0
 
         warm = _fresh_system()
         assert warm.restore_build_cache(cold.storage) is not None
-        second = warm.run_campaign(["HERMES"], CAMPAIGN_KEYS, workers=2)
+        second = warm.submit(_hermes_spec(workers=2)).result()
         assert second.cache_statistics.hits > 0
         assert second.cache_statistics.misses == 0
 
@@ -755,12 +766,12 @@ class TestWarmStartCampaigns:
         ]
 
         cold = _fresh_system()
-        cold.run_campaign(["HERMES"], CAMPAIGN_KEYS)
+        cold.submit(_hermes_spec())
         cold.persist_build_cache()
 
         warm = _fresh_system()
         warm.restore_build_cache(cold.storage)
-        campaign = warm.run_campaign(["HERMES"], CAMPAIGN_KEYS, workers=3)
+        campaign = warm.submit(_hermes_spec(workers=3)).result()
         assert campaign.cache_statistics.hits > 0
         assert [run.to_document() for run in campaign.runs()] == expected
         # Catalogue records are identical too.
@@ -768,9 +779,9 @@ class TestWarmStartCampaigns:
             record.to_dict() for record in baseline.catalog.all()
         ]
 
-    def test_run_campaign_warm_starts_from_mounted_storage(self, tmp_path):
+    def test_submit_warm_starts_from_mounted_storage(self, tmp_path):
         cold = _fresh_system()
-        cold.run_campaign(["HERMES"], CAMPAIGN_KEYS)
+        cold.submit(_hermes_spec())
         cold.persist_build_cache()
         cold.storage.persist(str(tmp_path))
 
@@ -782,15 +793,13 @@ class TestWarmStartCampaigns:
         )
         warm.provision_standard_images()
         warm.register_experiment(build_hermes_experiment(scale=0.2))
-        campaign = warm.run_campaign(
-            ["HERMES"], CAMPAIGN_KEYS, description="warm rerun"
-        )
+        campaign = warm.submit(_hermes_spec(description="warm rerun")).result()
         assert campaign.cache_statistics.hits > 0
         assert campaign.cache_statistics.misses == 0
 
     def test_warm_start_can_be_disabled(self, tmp_path):
         cold = _fresh_system()
-        cold.run_campaign(["HERMES"], CAMPAIGN_KEYS)
+        cold.submit(_hermes_spec())
         cold.persist_build_cache()
         cold.storage.persist(str(tmp_path))
 
@@ -800,9 +809,9 @@ class TestWarmStartCampaigns:
         )
         warm.provision_standard_images()
         warm.register_experiment(build_hermes_experiment(scale=0.2))
-        campaign = warm.run_campaign(
-            ["HERMES"], CAMPAIGN_KEYS, description="cold rerun", warm_start=False
-        )
+        campaign = warm.submit(
+            _hermes_spec(description="cold rerun", warm_start=False)
+        ).result()
         assert campaign.cache_statistics.hits == 0
 
     def test_restore_without_snapshot_raises(self):
@@ -819,7 +828,7 @@ class TestWarmStartCampaigns:
         builds, zero journal records are appended.
         """
         cold = _fresh_system()
-        cold.run_campaign(["HERMES"], CAMPAIGN_KEYS)
+        cold.submit(_hermes_spec())
         entries = cold.persist_build_cache()
         assert entries > 0
         source_keys = cold.storage.keys(BuildCache.NAMESPACE)
@@ -828,7 +837,7 @@ class TestWarmStartCampaigns:
         warm.restore_build_cache(cold.storage)
         # The journal travelled into the warm installation's own storage...
         assert warm.storage.keys(BuildCache.NAMESPACE) == source_keys
-        warm.run_campaign(["HERMES"], CAMPAIGN_KEYS)
+        warm.submit(_hermes_spec())
         # ...and a fully warm campaign appends nothing to it.
         assert warm.persist_build_cache() == 0
         assert warm.storage.keys(BuildCache.NAMESPACE) == source_keys

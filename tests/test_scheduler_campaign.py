@@ -13,6 +13,12 @@ from repro.core.spsystem import SPSystem
 from repro.scheduler.campaign import CampaignScheduler
 from repro.scheduler.dag import CampaignDAG, CampaignTask, TaskKind
 from repro.scheduler.pool import SimulatedWorkerPool, WorkerFailure
+from repro.scheduler.spec import CampaignSpec
+
+#: HERMES on one configuration: the smallest campaign matrix.
+SL5_HERMES = dict(
+    experiments=("HERMES",), configuration_keys=("SL5_64bit_gcc4.4",)
+)
 
 
 def _task(task_id, duration=10.0, deps=(), kind=TaskKind.BUILD, cell=0):
@@ -97,7 +103,7 @@ class TestSimulatedWorkerPool:
 class TestCampaignScheduler:
     def test_campaign_over_full_matrix(self, sp_system, tiny_hermes):
         sp_system.register_experiment(tiny_hermes)
-        campaign = sp_system.run_campaign(workers=4)
+        campaign = sp_system.submit(CampaignSpec(workers=4)).result()
         assert campaign.n_cells == 5
         assert sp_system.total_runs() == 5
         assert sp_system.last_campaign is campaign
@@ -112,9 +118,9 @@ class TestCampaignScheduler:
     def test_batching_of_standalone_tests(self, sp_system, tiny_hermes):
         sp_system.register_experiment(tiny_hermes)
         n_standalone = len(tiny_hermes.standalone_tests)
-        campaign = sp_system.run_campaign(
-            ["HERMES"], ["SL5_64bit_gcc4.4"], batch_size=2
-        )
+        campaign = sp_system.submit(
+            CampaignSpec(batch_size=2, **SL5_HERMES)
+        ).result()
         batches = [
             task for task in campaign.dag.tasks() if task.kind is TaskKind.TEST_BATCH
         ]
@@ -124,34 +130,39 @@ class TestCampaignScheduler:
 
     def test_task_durations_match_executed_jobs(self, sp_system, tiny_hermes):
         sp_system.register_experiment(tiny_hermes)
-        campaign = sp_system.run_campaign(["HERMES"], ["SL5_64bit_gcc4.4"])
+        campaign = sp_system.submit(CampaignSpec(**SL5_HERMES)).result()
         run = campaign.cells[0].run
         assert campaign.dag.total_seconds() == pytest.approx(
             run.total_duration_seconds()
         )
 
-    def test_validate_everywhere_returns_cycle_results(self, sp_system, tiny_hermes):
+    def test_cycles_for_returns_cycle_results(self, sp_system, tiny_hermes):
         sp_system.register_experiment(tiny_hermes)
-        results = sp_system.validate_everywhere("HERMES", workers=2)
+        results = sp_system.submit(
+            CampaignSpec(experiments=("HERMES",), workers=2)
+        ).result().cycles_for("HERMES")
         assert len(results) == 5
         assert [r.run.configuration_key for r in results] == sorted(
             c.key for c in sp_system.configurations()
         )
 
-    def test_validate_all_experiments_groups_by_experiment(
+    def test_by_experiment_groups_by_experiment(
         self, sp_system, tiny_hermes, tiny_zeus
     ):
         sp_system.register_experiment(tiny_hermes)
         sp_system.register_experiment(tiny_zeus)
-        results = sp_system.validate_all_experiments(
-            ["SL5_64bit_gcc4.4"], workers=2
-        )
+        results = sp_system.submit(CampaignSpec(
+            configuration_keys=("SL5_64bit_gcc4.4",), workers=2
+        )).result().by_experiment()
         assert sorted(results) == ["HERMES", "ZEUS"]
         assert all(len(cycles) == 1 for cycles in results.values())
 
     def test_empty_configuration_list(self, sp_system, tiny_hermes):
         sp_system.register_experiment(tiny_hermes)
-        assert sp_system.validate_everywhere("HERMES", []) == []
+        campaign = sp_system.submit(
+            CampaignSpec(experiments=("HERMES",), configuration_keys=())
+        ).result()
+        assert campaign.cycles_for("HERMES") == []
         assert sp_system.total_runs() == 0
 
     def test_rejects_bad_parameters(self, sp_system, tiny_hermes):
@@ -160,27 +171,31 @@ class TestCampaignScheduler:
             CampaignScheduler(sp_system, workers=0)
         with pytest.raises(SchedulingError):
             CampaignScheduler(sp_system, batch_size=0)
+        scheduler = CampaignScheduler(sp_system)
         with pytest.raises(SchedulingError):
-            CampaignScheduler(sp_system).run(rounds=0)
+            scheduler.run_requests(scheduler.expand_matrix(), rounds=0)
 
     def test_builder_restored_after_campaign(self, sp_system, tiny_hermes):
         sp_system.register_experiment(tiny_hermes)
         original = sp_system.runner.builder
-        sp_system.run_campaign(["HERMES"], ["SL5_64bit_gcc4.4"])
+        sp_system.submit(CampaignSpec(**SL5_HERMES))
         assert sp_system.runner.builder is original
 
     def test_builder_restored_after_failing_campaign(self, sp_system, tiny_hermes):
         sp_system.register_experiment(tiny_hermes)
         original = sp_system.runner.builder
         with pytest.raises(Exception):
-            sp_system.run_campaign(["HERMES"], ["no-such-configuration"])
+            sp_system.submit(CampaignSpec(
+                experiments=("HERMES",),
+                configuration_keys=("no-such-configuration",),
+            ))
         assert sp_system.runner.builder is original
 
     def test_multi_round_campaign(self, sp_system, tiny_hermes):
         sp_system.register_experiment(tiny_hermes)
-        campaign = sp_system.run_campaign(
-            ["HERMES"], ["SL5_64bit_gcc4.4"], rounds=3
-        )
+        campaign = sp_system.submit(
+            CampaignSpec(rounds=3, **SL5_HERMES)
+        ).result()
         assert campaign.n_cells == 3
         assert sp_system.total_runs() == 3
         # Rounds two and three replay cached builds.

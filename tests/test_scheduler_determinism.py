@@ -80,9 +80,9 @@ class TestSchedulerMatchesSequentialBaseline:
     def test_run_documents_identical(self, seed, workers):
         baseline_system, baseline = _sequential_baseline(seed, KEYS)
         scheduled_system = _fresh_system(seed)
-        scheduled = scheduled_system.validate_everywhere(
-            "HERMES", KEYS, workers=workers
-        )
+        scheduled = scheduled_system.submit(
+            _campaign_spec("simulated", KEYS, workers=workers)
+        ).result().cycles_for("HERMES")
         assert [cycle.run.to_document() for cycle in scheduled] == [
             cycle.run.to_document() for cycle in baseline
         ]
@@ -97,9 +97,9 @@ class TestSchedulerMatchesSequentialBaseline:
         seed = 20131029
         baseline_system, baseline = _sequential_baseline(seed, KEYS, rounds=2)
         scheduled_system = _fresh_system(seed)
-        campaign = scheduled_system.run_campaign(
-            ["HERMES"], KEYS, workers=workers, rounds=2
-        )
+        campaign = scheduled_system.submit(
+            _campaign_spec("simulated", KEYS, workers=workers, rounds=2)
+        ).result()
         assert campaign.cache_statistics.hits > 0
         assert [run.to_document() for run in campaign.runs()] == [
             cycle.run.to_document() for cycle in baseline
@@ -113,7 +113,9 @@ class TestSchedulerMatchesSequentialBaseline:
         seed = 20131029
         baseline_system, baseline = _sequential_baseline(seed, KEYS)
         scheduled_system = _fresh_system(seed)
-        scheduled = scheduled_system.validate_everywhere("HERMES", KEYS, workers=4)
+        scheduled = scheduled_system.submit(
+            _campaign_spec("simulated", KEYS)
+        ).result().cycles_for("HERMES")
         for before, after in zip(baseline, scheduled):
             assert before.successful == after.successful
             assert len(before.tickets) == len(after.tickets)
@@ -128,7 +130,7 @@ class TestSchedulerMatchesSequentialBaseline:
         documents = []
         for workers in (1, 2, 5):
             system = _fresh_system(20131029)
-            system.validate_everywhere("HERMES", KEYS, workers=workers)
+            system.submit(_campaign_spec("simulated", KEYS, workers=workers))
             documents.append({
                 namespace: {
                     key: system.storage.get(namespace, key)

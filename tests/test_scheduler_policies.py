@@ -21,6 +21,7 @@ from repro.scheduler.pool import (
     SimulatedWorkerPool,
     scheduling_policy,
 )
+from repro.scheduler.spec import CampaignSpec
 from repro.virtualization.resources import ResourceProfile
 
 POLICY_NAMES = sorted(SCHEDULING_POLICIES)
@@ -58,6 +59,15 @@ def _fresh_system(seed=20131029):
     system.provision_standard_images()
     system.register_experiment(build_hermes_experiment(scale=0.2))
     return system
+
+
+def _hermes_spec(**options):
+    """HERMES on two configurations, with the given pool options."""
+    return CampaignSpec(
+        experiments=("HERMES",),
+        configuration_keys=("SL5_64bit_gcc4.4", "SL6_64bit_gcc4.4"),
+        **options,
+    )
 
 
 class TestPolicyResolution:
@@ -150,14 +160,9 @@ class TestPolicyCampaigns:
     @pytest.mark.parametrize("seed", [20131029, 7])
     def test_policies_reproducible_across_identical_systems(self, seed):
         for policy in POLICY_NAMES:
-            first = _fresh_system(seed).run_campaign(
-                ["HERMES"], ["SL5_64bit_gcc4.4", "SL6_64bit_gcc4.4"],
-                workers=3, policy=policy,
-            )
-            second = _fresh_system(seed).run_campaign(
-                ["HERMES"], ["SL5_64bit_gcc4.4", "SL6_64bit_gcc4.4"],
-                workers=3, policy=policy,
-            )
+            spec = _hermes_spec(workers=3, policy=policy)
+            first = _fresh_system(seed).submit(spec).result()
+            second = _fresh_system(seed).submit(spec).result()
             assert first.schedule.assignments == second.schedule.assignments
             assert first.policy == policy
 
@@ -165,10 +170,9 @@ class TestPolicyCampaigns:
         documents = {}
         schedules = {}
         for policy in POLICY_NAMES:
-            campaign = _fresh_system().run_campaign(
-                ["HERMES"], ["SL5_64bit_gcc4.4", "SL6_64bit_gcc4.4"],
-                workers=2, policy=policy,
-            )
+            campaign = _fresh_system().submit(
+                _hermes_spec(workers=2, policy=policy)
+            ).result()
             documents[policy] = [run.to_document() for run in campaign.runs()]
             schedules[policy] = [
                 (a.task_id, a.worker_index, a.start_seconds)
@@ -221,10 +225,9 @@ class TestDeadlines:
             SimulatedWorkerPool(n_workers=1, deadline_seconds=0.0)
 
     def test_campaign_reports_late_cells(self):
-        campaign = _fresh_system().run_campaign(
-            ["HERMES"], ["SL5_64bit_gcc4.4", "SL6_64bit_gcc4.4"],
-            workers=1, deadline_seconds=1.0,
-        )
+        campaign = _fresh_system().submit(
+            _hermes_spec(workers=1, deadline_seconds=1.0)
+        ).result()
         assert not campaign.schedule.met_deadline
         assert campaign.schedule.late_cells() == [0, 1]
         assert "deadline verdict" in campaign.render_text()

@@ -11,6 +11,7 @@ scientific output.
 
 import pytest
 
+import repro.scheduler
 from repro._common import SchedulingError
 from repro.core.runner import RunnerSettings
 from repro.core.spsystem import CampaignHandle, SPSystem
@@ -22,6 +23,7 @@ from repro.scheduler.backends import (
     SimulatedBackend,
     execution_backend,
 )
+from repro.scheduler.campaign import CampaignScheduler
 from repro.scheduler.dag import CampaignDAG, CampaignTask, TaskKind
 from repro.scheduler.pool import WorkerFailure
 from repro.scheduler.spec import CampaignSpec, ValidationRequest
@@ -351,56 +353,30 @@ class TestSubmitFacade:
             handle.result()
 
 
-class TestDeprecatedShims:
-    def test_run_campaign_warns_and_matches_submit(self):
-        legacy_system = _fresh_system()
-        with pytest.warns(DeprecationWarning, match="run_campaign is deprecated"):
-            legacy = legacy_system.run_campaign(
-                ["HERMES"], list(TestSubmitFacade.KEYS), workers=2
-            )
-        spec_system = _fresh_system()
-        submitted = spec_system.submit(
-            CampaignSpec(
-                experiments=("HERMES",),
-                configuration_keys=TestSubmitFacade.KEYS,
-                workers=2,
-            )
-        ).result()
-        assert [run.to_document() for run in legacy.runs()] == [
-            run.to_document() for run in submitted.runs()
-        ]
+class TestSingleEntryPoint:
+    """``SPSystem.submit(spec)`` is the only library path into a campaign."""
 
-    def test_validate_everywhere_warns(self):
-        system = _fresh_system()
-        with pytest.warns(
-            DeprecationWarning, match="validate_everywhere is deprecated"
-        ):
-            cycles = system.validate_everywhere(
-                "HERMES", list(TestSubmitFacade.KEYS)
-            )
-        assert len(cycles) == 2
+    @pytest.mark.parametrize(
+        "owner,name",
+        [
+            (SPSystem, "run_campaign"),
+            (SPSystem, "validate_everywhere"),
+            (SPSystem, "validate_all_experiments"),
+            (CampaignScheduler, "run"),
+            (repro.scheduler, "build_cache_key"),
+        ],
+    )
+    def test_removed_entry_points_are_gone(self, owner, name):
+        assert not hasattr(owner, name)
 
-    def test_run_campaign_still_accepts_policy_instances(self):
-        # A custom (unregistered) policy instance cannot travel in the
-        # serialisable spec, but the deprecated path must keep scheduling
-        # with it, as it did before the redesign.
+    def test_policy_travels_only_in_the_spec(self):
         from repro.scheduler.pool import FifoPolicy
 
-        class ReversedFifoPolicy(FifoPolicy):
-            name = "reversed-fifo"
-
         system = _fresh_system()
-        with pytest.warns(DeprecationWarning):
-            campaign = system.run_campaign(
-                ["HERMES"], ["SL5_64bit_gcc4.4"], policy=ReversedFifoPolicy()
-            )
-        assert campaign.policy == "reversed-fifo"
-        assert campaign.schedule.policy == "reversed-fifo"
-
-    def test_validate_all_experiments_warns(self):
-        system = _fresh_system()
-        with pytest.warns(
-            DeprecationWarning, match="validate_all_experiments is deprecated"
-        ):
-            results = system.validate_all_experiments(["SL5_64bit_gcc4.4"])
-        assert sorted(results) == ["HERMES"]
+        spec = CampaignSpec(
+            configuration_keys=("SL5_64bit_gcc4.4",), policy="critical-path"
+        )
+        with pytest.raises(TypeError):
+            system.submit(spec, policy=FifoPolicy())
+        campaign = system.submit(spec).result()
+        assert campaign.policy == campaign.schedule.policy == "critical-path"

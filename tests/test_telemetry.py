@@ -516,25 +516,64 @@ class TestTelemetryPage:
 
 
 class TestTelemetryCli:
-    def test_metrics_command_prints_prometheus_text(self, capsys):
-        exit_code = cli_main(["metrics", "--scale", "0.02"])
-        captured = capsys.readouterr()
+    def test_campaign_telemetry_output_writes_trace_and_metrics(
+        self, tmp_path, capsys
+    ):
+        output = str(tmp_path)
+        exit_code = cli_main([
+            "campaign", "--scale", "0.02", "--workers", "2", "--telemetry",
+            "--output", output,
+        ])
+        capsys.readouterr()
         assert exit_code == 0
-        assert "# TYPE repro_cells_total counter" in captured.out
-        assert "repro_scheduler_cells_total" in captured.out
-
-    def test_trace_command_writes_a_chrome_trace(self, tmp_path, capsys):
-        out = str(tmp_path / "trace.json")
-        exit_code = cli_main(["trace", "--out", out, "--scale", "0.02"])
-        captured = capsys.readouterr()
-        assert exit_code == 0
-        with open(out, encoding="utf-8") as handle:
+        reports = tmp_path / "reports"
+        assert (reports / "telemetry.html").is_file()
+        with open(reports / "trace.json", encoding="utf-8") as handle:
             document = json.load(handle)
         assert document["traceEvents"]
         names = {event["name"] for event in document["traceEvents"]}
         assert "cell_validate" in names
         assert "spec_validation" in names
-        assert "cumulative s" in captured.out
+        metrics = (reports / "metrics.prom").read_text(encoding="utf-8")
+        assert "# TYPE repro_cells_total counter" in metrics
+        assert "repro_scheduler_cells_total" in metrics
+
+    def test_persisted_telemetry_reloads_without_the_textfile(
+        self, tmp_path, capsys
+    ):
+        assert cli_main([
+            "campaign", "--scale", "0.02", "--telemetry",
+            "--output", str(tmp_path),
+        ]) == 0
+        capsys.readouterr()
+        storage = CommonStorage.load(str(tmp_path), namespaces=["reports"])
+        # The Chrome trace is an ordinary storage document...
+        assert storage.get("reports", "trace")["traceEvents"]
+        # ...the Prometheus textfile is not one...
+        assert (tmp_path / "reports" / "metrics.prom").is_file()
+        assert not storage.keys("reports", prefix="metrics")
+        # ...and the timing page lists the lifecycle metrics series.
+        page = storage.get("reports", "telemetry")["html"]
+        assert "cells_total{outcome=" in page
+
+    def test_unwritable_metrics_textfile_is_an_error(self, tmp_path, capsys):
+        blocked = tmp_path / "reports" / "metrics.prom"
+        blocked.mkdir(parents=True)
+        exit_code = cli_main([
+            "campaign", "--scale", "0.02", "--telemetry",
+            "--output", str(tmp_path),
+        ])
+        assert exit_code == 2
+        error = capsys.readouterr().err
+        assert "cannot write metrics file" in error
+        assert str(blocked) in error
+
+    @pytest.mark.parametrize("command", ["metrics", "trace"])
+    def test_folded_subcommands_are_invalid_choices(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main([command])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_bench_trends_check_gates_on_regressions(self, tmp_path, capsys):
         directory = str(tmp_path)
