@@ -244,8 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
                                "reports/telemetry.html page, the Chrome "
                                "trace reports/trace.json (load in Perfetto) "
                                "and the Prometheus textfile "
-                               "reports/metrics.prom; science output is "
-                               "byte-identical either way")
+                               "reports/metrics.prom (removed again by a "
+                               "later --output run without --telemetry); "
+                               "science output is byte-identical either way")
     campaign.add_argument("--output", default=None)
     campaign.set_defaults(handler=_cmd_campaign)
 
@@ -538,7 +539,9 @@ def _load_spec_file(path: str) -> CampaignSpec:
 def _cmd_campaign(arguments: argparse.Namespace) -> int:
     telemetry = Telemetry.create() if arguments.telemetry else None
     system = _provisioned_system(arguments.scale, telemetry=telemetry)
-    if telemetry is not None:
+    if telemetry is not None and arguments.output:
+        # The lifecycle series only reach telemetry.html and metrics.prom,
+        # both written below --output; without it they would be discarded.
         system.lifecycle.add_observer(MetricsObserver(telemetry.metrics))
     cache_dir = arguments.cache_dir or arguments.output
     if arguments.spec:
@@ -744,6 +747,8 @@ def _cmd_campaign(arguments: argparse.Namespace) -> int:
               f"next campaign)")
         if telemetry is not None:
             _write_metrics_textfile(telemetry, arguments.output)
+        else:
+            _remove_stale_metrics_textfile(arguments.output)
     return 0
 
 
@@ -765,6 +770,23 @@ def _write_metrics_textfile(telemetry: Telemetry, output: str) -> None:
         f"ui.perfetto.dev) and {StatusPageGenerator.NAMESPACE}/metrics.prom "
         f"(Prometheus textfile)"
     )
+
+
+def _remove_stale_metrics_textfile(output: str) -> None:
+    """Remove a metrics.prom left below *output* by an earlier --telemetry run.
+
+    A textfile collector exports whatever the file holds as current
+    values, so a run without telemetry must not leave old counters behind.
+    """
+    path = os.path.join(output, StatusPageGenerator.NAMESPACE, "metrics.prom")
+    try:
+        os.remove(path)
+    except FileNotFoundError:
+        pass
+    except OSError as error:
+        raise ReproError(
+            f"cannot remove stale metrics file {path!r}: {error}"
+        ) from error
 
 
 def _cmd_cache_stats(arguments: argparse.Namespace) -> int:

@@ -568,6 +568,37 @@ class TestTelemetryCli:
         assert "cannot write metrics file" in error
         assert str(blocked) in error
 
+    def test_run_without_telemetry_removes_a_stale_textfile(
+        self, tmp_path, capsys
+    ):
+        assert cli_main([
+            "campaign", "--scale", "0.02", "--telemetry",
+            "--output", str(tmp_path),
+        ]) == 0
+        assert (tmp_path / "reports" / "metrics.prom").is_file()
+        assert cli_main([
+            "campaign", "--scale", "0.02", "--output", str(tmp_path),
+        ]) == 0
+        capsys.readouterr()
+        assert not (tmp_path / "reports" / "metrics.prom").exists()
+
+    def test_metrics_observer_needs_output(self, tmp_path, capsys, monkeypatch):
+        import repro.cli
+
+        attached = []
+        monkeypatch.setattr(
+            repro.cli, "MetricsObserver",
+            lambda registry: attached.append(registry) or MetricsObserver(registry),
+        )
+        assert cli_main(["campaign", "--scale", "0.02", "--telemetry"]) == 0
+        assert attached == []
+        assert cli_main([
+            "campaign", "--scale", "0.02", "--telemetry",
+            "--output", str(tmp_path),
+        ]) == 0
+        capsys.readouterr()
+        assert len(attached) == 1
+
     @pytest.mark.parametrize("command", ["metrics", "trace"])
     def test_folded_subcommands_are_invalid_choices(self, command, capsys):
         with pytest.raises(SystemExit) as excinfo:
